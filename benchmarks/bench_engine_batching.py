@@ -6,7 +6,7 @@ concurrency cap of eight, one network round trip per *call* (so a
 32-prompt batch costs one latency plus a small per-item increment, not
 32 latencies).  The baseline is the engine at its pre-batching best —
 eight workers over a warm-capable cache — and the contender adds
-``batch_size=32`` + coalescing + the AIMD limiter.
+``batch_size=32`` + coalescing.
 
 Three gates, wired into ``scripts/check.sh`` and CI:
 
@@ -16,7 +16,7 @@ Three gates, wired into ``scripts/check.sh`` and CI:
   prompt — not one extra, which the coalesce-outside-cache ordering
   makes deterministic rather than probabilistic;
 * records and metrics are **bit-identical** to the sequential runner at
-  every probed (workers, batch_size, coalesce, hedged-pool) combination.
+  every probed (workers, batch_size, coalesce) combination.
 
 The run's engine stats land as JSON in ``REPRO_BATCH_STATS_ARTIFACT``
 (default ``benchmarks/.artifacts/engine_batching_stats.json``) — CI
@@ -42,7 +42,6 @@ from conftest import once
 from repro.core.report import format_rows
 from repro.core.runner import EvaluationRunner
 from repro.engine.config import EngineConfig
-from repro.engine.pool import BackendPool
 from repro.engine.scheduler import EvaluationEngine
 from repro.llm.base import BaseChatModel
 from repro.llm.registry import get_model
@@ -55,9 +54,9 @@ DEFAULT_STATS_ARTIFACT = (Path(__file__).resolve().parent
                           / ".artifacts"
                           / "engine_batching_stats.json")
 
-#: (workers, batch_size, coalesce, hedged pool) bit-identity probes.
-IDENTITY_COMBOS = ((1, 4, True, False), (2, 2, False, False),
-                   (8, 8, True, False), (4, 4, True, True))
+#: (workers, batch_size, coalesce) bit-identity probes.
+IDENTITY_COMBOS = ((1, 4, True), (2, 2, False), (8, 8, True),
+                   (4, 4, True))
 
 
 class SyntheticBatchEndpoint(BaseChatModel):
@@ -123,7 +122,7 @@ def _measure(n_prompts: int = 10_000, n_unique: int = 2_000,
 
     batched_engine = EvaluationEngine(
         EngineConfig(max_workers=8, max_in_flight=128, batch_size=32,
-                     coalesce=True, adaptive=True, retry=None))
+                     coalesce=True, retry=None))
     model = SyntheticBatchEndpoint(latency_s)
     seen = [0] * n_prompts
 
@@ -151,32 +150,22 @@ def _measure(n_prompts: int = 10_000, n_unique: int = 2_000,
 
 def _identity_sweep() -> list[dict[str, object]]:
     """Prove records+metrics bit-identity against the sequential
-    runner at every probed engine configuration, hedged pool
-    included."""
+    runner at every probed engine configuration."""
     pool = build_pools("ebay", sample_size=6).total_pool(
         DatasetKind.HARD)
     sequential = EvaluationRunner(keep_records=True).evaluate(
         get_model("GPT-4"), pool)
     probes: list[dict[str, object]] = []
-    for workers, batch_size, coalesce, hedged in IDENTITY_COMBOS:
+    for workers, batch_size, coalesce in IDENTITY_COMBOS:
         engine = EvaluationEngine(
             EngineConfig(max_workers=workers, batch_size=batch_size,
                          coalesce=coalesce, cache=False, retry=None))
-        backend = get_model("GPT-4")
-        if hedged:
-            backend = BackendPool(
-                [get_model("GPT-4"), get_model("GPT-4")],
-                hedge_delay_s=0.005, telemetry=engine.telemetry)
-        try:
-            result = EvaluationRunner(
-                engine=engine, keep_records=True).evaluate(
-                    backend, pool)
-        finally:
-            if hedged:
-                backend.close()
+        result = EvaluationRunner(
+            engine=engine, keep_records=True).evaluate(
+                get_model("GPT-4"), pool)
         probes.append({
             "workers": workers, "batch_size": batch_size,
-            "coalesce": coalesce, "hedged": hedged,
+            "coalesce": coalesce,
             "identical": (result.records == sequential.records
                           and result.metrics == sequential.metrics),
         })

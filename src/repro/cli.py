@@ -53,11 +53,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from repro.core.benchmark import TaxoGlimpse
 from repro.core.report import format_engine_stats, format_rows
 from repro.engine.cache import ResponseCache
-from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats
 from repro.data.paper_tables import MODEL_ORDER, TAXONOMY_ORDER
@@ -87,7 +87,8 @@ from repro.obs import (AlertEvaluator, CostLedger, LedgerFollower,
 from repro.questions.model import DatasetKind
 from repro.questions.pools import build_pools
 from repro.runs import (RunRegistry, RunRequest, diff_runs,
-                        execute_run, load_run, resume_run)
+                        engine_for, execute_run, load_run,
+                        resume_run)
 from repro.serve.views import (iter_question_records, run_cell_rows,
                                run_diff_payload, run_result_payload,
                                run_show_payload, run_trail_payload,
@@ -193,15 +194,6 @@ def _parser() -> argparse.ArgumentParser:
     engine_stats.add_argument("--taxonomy", default="ebay",
                               choices=list(TAXONOMY_ORDER))
     engine_stats.add_argument("--sample", type=int, default=60)
-    engine_stats.add_argument(
-        "--pool-replicas", type=int, default=1, metavar="N",
-        help="serve the cell through a BackendPool of N "
-             "response-equivalent replicas of the model (1 = no "
-             "pool)")
-    engine_stats.add_argument(
-        "--hedge-delay", type=float, default=None, metavar="SECONDS",
-        help="hedge a slow pool call onto the next replica after "
-             "this many seconds (requires --pool-replicas >= 2)")
     _add_engine_options(engine_stats)
 
     run = commands.add_parser(
@@ -294,7 +286,10 @@ def _parser() -> argparse.ArgumentParser:
                              help="print the final summary as one "
                                   "JSON object")
     _add_runs_dir(runs_resume)
-    _add_engine_options(runs_resume)
+    _add_engine_options(runs_resume, trail=False)
+    # Unset flags keep the stored request's engine shape.
+    runs_resume.set_defaults(workers=None, retries=None,
+                             batch_size=None, coalesce=None)
 
     runs_merge = runs_commands.add_parser(
         "merge", help="fold a sharded run's shard ledgers into its "
@@ -446,8 +441,8 @@ def _parser() -> argparse.ArgumentParser:
 
     obs_why = obs_commands.add_parser(
         "why", help="explain one question's provenance trail — "
-                    "retries, cache, coalescing, batch, replica, "
-                    "cost — with span citations")
+                    "retries, cache, coalescing, batch, cost — "
+                    "with span citations")
     obs_why.add_argument("run_id")
     obs_why.add_argument("index", type=int,
                          help="global question index (cells in plan "
@@ -501,7 +496,8 @@ def _add_scope(command: argparse.ArgumentParser,
                               "Cochran sizes)")
 
 
-def _add_engine_options(command: argparse.ArgumentParser) -> None:
+def _add_engine_options(command: argparse.ArgumentParser,
+                        trail: bool = True) -> None:
     command.add_argument("--workers", type=int, default=1,
                          help="engine worker threads (1 = sequential)")
     command.add_argument("--retries", type=int, default=3,
@@ -515,39 +511,40 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
                          help="group up to N concurrent prompts into "
                               "one backend generate_batch call (1 = "
                               "per-prompt)")
-    command.add_argument("--batch-linger", type=float, default=0.002,
-                         metavar="SECONDS",
-                         help="how long a short batch waits for "
-                              "company before flushing")
     command.add_argument("--coalesce", action="store_true",
                          help="identical in-flight prompts share one "
                               "backend call (the cache only helps "
                               "completed calls)")
-    command.add_argument("--trail", action="store_true",
-                         help="record a per-question provenance "
-                              "trail on every record (inspect with "
-                              "`repro obs why` / `repro obs grep`)")
+    if trail:
+        command.add_argument(
+            "--trail", action="store_true",
+            help="record a per-question provenance trail on every "
+                 "record (inspect with `repro obs why` / `repro obs "
+                 "grep`)")
 
 
-def _build_engine(args: argparse.Namespace) -> EvaluationEngine:
-    """An engine from the shared --workers/--retries/--cache flags
-    (plus the batching/coalescing knobs when present)."""
-    cache = None
-    if args.cache and os.path.exists(args.cache):
-        cache = ResponseCache.load(args.cache)
-    config = EngineConfig(
-        max_workers=max(1, args.workers),
-        retry=RetryPolicy(retries=max(0, args.retries)),
-        batch_size=max(1, getattr(args, "batch_size", 1)),
-        batch_linger_s=max(0.0, getattr(args, "batch_linger", 0.002)),
-        coalesce=bool(getattr(args, "coalesce", False)),
-        trail=bool(getattr(args, "trail", False)))
-    return EvaluationEngine(config, cache=cache)
+def _engine_request(args: argparse.Namespace,
+                    **sweep: object) -> RunRequest:
+    """``sweep`` under the engine shape the shared flags ask for."""
+    return RunRequest(workers=max(1, args.workers),
+                      retries=max(0, args.retries),
+                      batch_size=max(1, args.batch_size),
+                      coalesce=args.coalesce, trail=args.trail,
+                      **sweep)
 
 
-def _persist_cache(engine: EvaluationEngine,
+def _load_cache(args: argparse.Namespace) -> ResponseCache | None:
+    """The ``--cache PATH`` response cache (empty if PATH is new)."""
+    if not args.cache:
+        return None
+    if os.path.exists(args.cache):
+        return ResponseCache.load(args.cache)
+    return ResponseCache()
+
+
+def _persist_cache(engine: EvaluationEngine | None,
                    args: argparse.Namespace) -> None:
-    if args.cache and engine.cache is not None:
+    if args.cache and engine is not None and engine.cache is not None:
         engine.cache.save(args.cache)
 
 
@@ -601,7 +598,12 @@ def _cmd_table(args: argparse.Namespace) -> str:
     config = ExperimentConfig(sample_size=args.sample,
                               models=tuple(args.models),
                               taxonomy_keys=tuple(args.taxonomies))
-    engine = _build_engine(args)
+    engine = engine_for(
+        _engine_request(args, dataset=args.dataset,
+                        models=tuple(args.models),
+                        taxonomy_keys=tuple(args.taxonomies),
+                        sample_size=args.sample),
+        cache=_load_cache(args))
     bench = TaxoGlimpse(sample_size=args.sample, engine=engine)
     result = run_overall(DatasetKind(args.dataset), config, bench=bench)
     _persist_cache(engine, args)
@@ -686,29 +688,19 @@ def _cmd_errors(args: argparse.Namespace) -> str:
 def _cmd_engine_stats(args: argparse.Namespace) -> str:
     from repro.core.runner import EvaluationRunner
     from repro.questions.model import DatasetKind as Kind
-    engine = _build_engine(args)
+    cache = _load_cache(args)
+    # Always an engine, even a sequential one: its telemetry is what
+    # this command prints.
+    engine = engine_for(
+        _engine_request(args, models=(args.model,),
+                        taxonomy_keys=(args.taxonomy,),
+                        sample_size=args.sample),
+        cache=cache if cache is not None else ResponseCache())
     runner = EvaluationRunner(engine=engine)
     pool = build_pools(
         args.taxonomy,
         sample_size=args.sample).total_pool(Kind.HARD)
-    model = get_model(args.model)
-    backend_pool = None
-    if args.pool_replicas > 1:
-        from repro.engine.pool import BackendPool
-        # Replicas of one simulated model are response-equivalent by
-        # construction, so hedged/fallback dispatch cannot change a
-        # record — only the telemetry shows it happened.
-        backend_pool = BackendPool(
-            [get_model(args.model)
-             for _ in range(args.pool_replicas)],
-            hedge_delay_s=args.hedge_delay,
-            telemetry=engine.telemetry, tracer=engine.tracer)
-        model = backend_pool
-    try:
-        result = runner.evaluate(model, pool)
-    finally:
-        if backend_pool is not None:
-            backend_pool.close()
+    result = runner.evaluate(get_model(args.model), pool)
     _persist_cache(engine, args)
     return format_engine_stats(
         engine.stats(),
@@ -759,7 +751,8 @@ def _run_result_report(result, title: str,
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
-    request = RunRequest(
+    request = _engine_request(
+        args,
         dataset=args.dataset,
         models=tuple(args.models),
         taxonomy_keys=tuple(args.taxonomies),
@@ -767,11 +760,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
         sample_size=args.sample,
         seed=args.seed,
         per_level=args.per_level,
-        workers=max(1, args.workers),
-        retries=max(0, args.retries),
-        batch_size=max(1, args.batch_size),
-        coalesce=args.coalesce,
-        trail=bool(getattr(args, "trail", False)),
         max_cost_usd=args.max_cost_usd,
         max_tokens=args.max_tokens,
     )
@@ -784,13 +772,10 @@ def _cmd_run(args: argparse.Namespace) -> str:
             title=f"Sharded run (x{args.shards}) on {args.dataset} "
                   f"datasets",
             as_json=args.json)
-    engine = (_build_engine(args)
-              if args.workers > 1 or args.batch_size > 1
-              or args.coalesce else None)
+    engine = engine_for(request, cache=_load_cache(args))
     result = execute_run(request, registry=_registry(args),
                          engine=engine)
-    if engine is not None:
-        _persist_cache(engine, args)
+    _persist_cache(engine, args)
     return _run_result_report(
         result, title=f"Ledgered run on {args.dataset} datasets",
         as_json=args.json)
@@ -943,13 +928,17 @@ def _cmd_runs_resume(args: argparse.Namespace) -> str:
         return _run_result_report(
             result, title=f"Resumed sharded run {args.run_id}",
             as_json=args.json)
-    engine = (_build_engine(args)
-              if args.workers > 1 or args.batch_size > 1
-              or args.coalesce else None)
+    # The stored request fixes the run's shape, trail capture
+    # included; only the execution flags given here are laid over it.
+    shape = {name: getattr(args, name)
+             for name in ("workers", "retries", "batch_size",
+                          "coalesce")
+             if getattr(args, name) is not None}
+    engine = engine_for(replace(registry.request(args.run_id), **shape),
+                        cache=_load_cache(args))
     result = resume_run(args.run_id, registry=registry,
                         engine=engine)
-    if engine is not None:
-        _persist_cache(engine, args)
+    _persist_cache(engine, args)
     return _run_result_report(
         result, title=f"Resumed run {args.run_id}",
         as_json=args.json)
@@ -1188,28 +1177,10 @@ def _why_trail_lines(trail: dict) -> list[str]:
         injected = (" (injected)" if trail.get("injected") else "")
         lines.append(f"retry: {attempts} attempt(s); faults: "
                      f"{faults}{injected}")
-    if trail.get("rate_wait_s", 0.0) > 0:
-        lines.append(f"rate limit: waited "
-                     f"{trail['rate_wait_s'] * 1e3:.2f}ms for a token")
-    if trail.get("timeout_lost_s", 0.0) > 0:
-        lines.append(f"timeout: {trail['timeout_lost_s'] * 1e3:.2f}ms "
-                     f"lost to deadline overruns")
     if trail.get("batch") is not None:
         lines.append(f"batch: rode batch #{trail['batch']} of "
                      f"{trail.get('batch_size')} prompt(s), flushed "
                      f"on {trail.get('batch_cut')}")
-    replica = trail.get("replica")
-    fallbacks = trail.get("fallbacks", [])
-    if replica is not None or fallbacks:
-        hops = (f" after replica(s) "
-                f"{', '.join(str(i) for i in fallbacks)} failed"
-                if fallbacks else "")
-        hedge = ""
-        if trail.get("hedged"):
-            hedge = (", the hedge won" if trail.get("hedge_won")
-                     else ", the primary beat the hedge")
-        lines.append(f"pool: answered by replica {replica}{hops}"
-                     f"{hedge}")
     if trail.get("cost_nanos", 0) > 0:
         lines.append(f"cost: {trail.get('billed_prompt_tokens', 0)} "
                      f"prompt + "
@@ -1246,8 +1217,6 @@ def _cmd_obs_grep(args: argparse.Namespace) -> str:
             "cache": {True: "hit", False: "miss",
                       None: "-"}[env["cache_hit"]],
             "errors": ",".join(env["errors"]) or "-",
-            "replica": ("-" if env["replica"] is None
-                        else env["replica"]),
         })
     table = format_rows(
         rows, title=f"{len(matches)} of {total} questions match "
@@ -1275,7 +1244,6 @@ def _cmd_obs_trails(args: argparse.Namespace) -> str:
               f"{retry['retried']} retried "
               f"({retry['injected_faults']} injected faults), "
               f"{totals['coalesce']['followers']} coalesced, "
-              f"{totals['hedge']['fired']} hedges fired, "
               f"${totals['cost']['cost_nanos'] / 1e9:.4f} billed")
     return format_rows(
         rows, title=f"Provenance trails: run {args.run_id}") + footer
@@ -1291,7 +1259,6 @@ def _trails_row(cell_id: str, summary: dict) -> dict[str, object]:
         "retried": summary["retry"]["retried"],
         "faults": summary["retry"]["injected_faults"],
         "coalesced": summary["coalesce"]["followers"],
-        "hedged": summary["hedge"]["fired"],
         "cost_usd": f"{summary['cost']['cost_nanos'] / 1e9:.4f}",
     }
 

@@ -40,7 +40,7 @@ class QuestionRecord:
     completion_tokens: int = 0
     #: Provenance trail (``--trail`` runs only).  Excluded from
     #: equality: the scored payload is what determinism gates compare,
-    #: and placement fields (batch id, replica) legitimately vary with
+    #: and placement fields (batch id, cache hit) legitimately vary with
     #: scheduling.
     trail: Trail | None = field(default=None, compare=False)
 

@@ -9,7 +9,7 @@ real API client and nothing here changes.
 A runner can optionally carry a
 :class:`repro.engine.EvaluationEngine`: every ``evaluate*`` call then
 fans out over the engine's worker pool behind its middleware stack
-(coalesce, cache, retry, rate limit, timeout, batch).  Records come
+(coalesce, cache, retry, cost, batch).  Records come
 back in question order either way — the batching layer groups
 concurrent prompts into ``generate_batch`` calls *underneath* the
 per-question fan-out, so the engine path yields bit-identical metrics

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from repro.core.results import (PoolResult, QuestionRecord,
@@ -50,55 +51,40 @@ from repro.dist.worker import ShardState, replay_shard
 def merge_stats(stats_list: list[EngineStats]) -> EngineStats | None:
     """Aggregate per-shard engine stats into one run-level snapshot.
 
-    Counters sum; wall time is the max (shards ran concurrently) and
-    busy time the sum; workers sum across processes.  The latency
+    Each :class:`EngineStats` field declares its merge rule: counters
+    (integer tokens and nano-dollars among them, so merged cost is
+    bit-identical to the single-process run's), busy time and workers
+    sum; wall time is the max (shards ran concurrently); the latency
     quantiles are record-weighted means of the shard quantiles — an
     approximation (exact quantiles would need the raw histograms),
-    which is fine because stats are observability, explicitly outside
-    the bit-identical determinism contract.
+    which is fine because latency is observability, explicitly
+    outside the bit-identical determinism contract; the latency
+    extremes are the min/max over shards that scored anything.
     """
     stats_list = [stats for stats in stats_list if stats is not None]
     if not stats_list:
         return None
     records = sum(stats.records for stats in stats_list)
-
-    def weighted(attr: str) -> float:
-        if records == 0:
-            return 0.0
-        return sum(getattr(stats, attr) * stats.records
-                   for stats in stats_list) / records
-
-    with_latency = [stats for stats in stats_list if stats.records]
-    return EngineStats(
-        records=records,
-        calls=sum(stats.calls for stats in stats_list),
-        retries=sum(stats.retries for stats in stats_list),
-        faults=sum(stats.faults for stats in stats_list),
-        timeouts=sum(stats.timeouts for stats in stats_list),
-        cache_hits=sum(stats.cache_hits for stats in stats_list),
-        cache_misses=sum(stats.cache_misses for stats in stats_list),
-        wall_time_s=max(stats.wall_time_s for stats in stats_list),
-        busy_time_s=sum(stats.busy_time_s for stats in stats_list),
-        workers=sum(stats.workers for stats in stats_list),
-        # Integer nano-dollar sums are associative, so the merged
-        # totals are bit-identical to the single-process run's —
-        # unlike the latency quantiles, cost is *inside* the
-        # determinism contract.
-        prompt_tokens=sum(stats.prompt_tokens
-                          for stats in stats_list),
-        completion_tokens=sum(stats.completion_tokens
-                              for stats in stats_list),
-        cost_nanos=sum(stats.cost_nanos for stats in stats_list),
-        latency_p50_s=weighted("latency_p50_s"),
-        latency_p90_s=weighted("latency_p90_s"),
-        latency_p99_s=weighted("latency_p99_s"),
-        latency_min_s=(min(stats.latency_min_s
-                           for stats in with_latency)
-                       if with_latency else 0.0),
-        latency_max_s=(max(stats.latency_max_s
-                           for stats in with_latency)
-                       if with_latency else 0.0),
-    )
+    merged: dict[str, object] = {}
+    for spec in fields(EngineStats):
+        values = [getattr(stats, spec.name) for stats in stats_list]
+        scored = [value for value, stats in zip(values, stats_list)
+                  if stats.records]
+        rule = spec.metadata["merge"]
+        if rule == "sum":
+            merged[spec.name] = sum(values)
+        elif rule == "max":
+            merged[spec.name] = max(values)
+        elif rule == "weighted":
+            merged[spec.name] = (
+                sum(value * stats.records
+                    for value, stats in zip(values, stats_list))
+                / records if records else 0.0)
+        elif rule == "min_seen":
+            merged[spec.name] = min(scored, default=0.0)
+        else:
+            merged[spec.name] = max(scored, default=0.0)
+    return EngineStats(**merged)
 
 
 def _fold_records(run_id: str, plan: ShardPlan,

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.results import QuestionRecord
 from repro.core.runner import EvaluationRunner
 from repro.engine.cache import ResponseCache
-from repro.engine.config import EngineConfig, RetryPolicy
-from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.errors import RunError
 from repro.llm.prompting import PromptSetting
@@ -40,7 +38,8 @@ from repro.llm.registry import get_model
 from repro.obs.export import JsonlSpanSink
 from repro.obs.tracer import NullTracer, Tracer
 from repro.runs.driver import (ModelResolver, _pool_for,
-                               _resolve_tracer, build_request_pools)
+                               _resolve_tracer, build_request_pools,
+                               engine_for)
 from repro.runs.heartbeat import HeartbeatWriter
 from repro.runs.ledger import CellState, RunLedger, replay_ledger
 from repro.obs.jsonl import iter_jsonl
@@ -136,28 +135,6 @@ class ShardResult:
                           if self.stats is not None else None)}
 
 
-def _shard_engine(request, cache: ResponseCache | None
-                  ) -> EvaluationEngine | None:
-    """The worker's engine: same policy as ``_build_engine``, plus an
-    explicit cache instance when the run is cache-backed (each shard's
-    cache is its own object persisted to its own file — no shared
-    mutable state crosses a process boundary)."""
-    if (request.workers <= 1 and cache is None
-            and request.batch_size <= 1 and not request.coalesce):
-        return None
-    # cache=True regardless of a warm seed: the driver's engine has an
-    # in-memory cache layer by default, and a shard's middleware stack
-    # must mirror it so the same request leaves the same provenance
-    # trail sharded or inline.
-    config = EngineConfig(
-        max_workers=max(1, request.workers),
-        retry=RetryPolicy(retries=max(0, request.retries)),
-        batch_size=request.batch_size,
-        coalesce=request.coalesce,
-        trail=request.trail)
-    return EvaluationEngine(config, cache=cache)
-
-
 def run_shard(run_id: str, shard: int,
               registry: RunRegistry | None = None,
               resolve_model: ModelResolver | None = None,
@@ -198,7 +175,9 @@ def run_shard(run_id: str, shard: int,
     pools = build_request_pools(request)
     cache = (ResponseCache.load(warm_cache)
              if warm_cache is not None else None)
-    engine = _shard_engine(request, cache)
+    # Each shard's cache is its own object persisted to its own file:
+    # no shared mutable state crosses a process boundary.
+    engine = engine_for(request, cache=cache)
     tracer = _resolve_tracer(tracer, trace)
     if (engine is not None and tracer.enabled
             and not engine.tracer.enabled):

@@ -1,27 +1,26 @@
 """Execution engine: concurrent, fault-tolerant evaluation at scale.
 
-The production layer between the experiment drivers and the
-``ChatModel`` backends.  Six cooperating pieces:
+The layer between the experiment drivers and the ``ChatModel``
+backends.  Runs build their engine in one place,
+:func:`repro.runs.driver.engine_for`, from the run request.  The
+pieces:
 
 * ``scheduler`` — :class:`EvaluationEngine`, a bounded thread pool
   that preserves deterministic record ordering (metrics bit-identical
   to the sequential runner at any worker count, batch size, or
-  coalescing setting);
-* ``middleware`` — composable resilience wrappers (retry with
-  deterministic exponential backoff, per-call timeout, token-bucket
-  rate limiting, deterministic fault injection for tests);
+  coalescing setting), and the one place that assembles the
+  middleware stack: coalesce → cache → retry → cost → batch → count;
+* ``middleware`` — retry with deterministic exponential backoff, and
+  deterministic fault injection for tests;
 * ``batching`` — :class:`BatchingModel` groups concurrent prompts
-  into ``generate_batch`` calls under a linger deadline,
+  into ``generate_batch`` calls under a linger deadline, and
   :class:`CoalescingModel` makes identical in-flight prompts share
-  one call, and :class:`AdaptiveLimiter` applies AIMD concurrency
-  control over batch dispatch;
-* ``pool`` — :class:`BackendPool`, response-equivalent backends with
-  health tracking, deterministic fallback, and hedged dispatch;
+  one call;
 * ``cache`` — a content-addressed response cache keyed on
   ``(model, prompt)`` with JSON persistence, so reruns only pay for
   cold cells;
 * ``telemetry`` — per-call latency, retries, cache traffic, batches,
-  coalesced/hedged calls and worker utilization aggregated into
+  coalesced calls, tokens and cost aggregated into
   :class:`EngineStats`.
 
 Quickstart::
@@ -35,15 +34,12 @@ Quickstart::
     True
 """
 
-from repro.engine.batching import (AdaptiveLimiter, BatchingModel,
-                                   CoalescingModel, close_model_stack)
+from repro.engine.batching import (BatchingModel, CoalescingModel,
+                                   close_model_stack)
 from repro.engine.cache import CachedModel, ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.middleware import (FaultInjectingModel,
-                                     RateLimitedModel, RetryingModel,
-                                     TimeoutModel, TokenBucket,
-                                     backoff_delay)
-from repro.engine.pool import BackendPool
+                                     RetryingModel, backoff_delay)
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 
@@ -56,14 +52,9 @@ __all__ = [
     "ResponseCache",
     "CachedModel",
     "RetryingModel",
-    "TimeoutModel",
-    "RateLimitedModel",
-    "TokenBucket",
     "FaultInjectingModel",
     "BatchingModel",
     "CoalescingModel",
-    "AdaptiveLimiter",
-    "BackendPool",
     "close_model_stack",
     "backoff_delay",
 ]

@@ -1,6 +1,6 @@
-"""Dynamic batching, in-flight coalescing and AIMD concurrency.
+"""Dynamic batching and in-flight coalescing.
 
-The asynchronous half of the engine core.  Three cooperating pieces,
+The asynchronous half of the engine core.  Two cooperating pieces,
 each a plain object the scheduler composes into the middleware stack:
 
 * :class:`BatchingModel` — a ChatModel wrapper that groups concurrent
@@ -18,11 +18,6 @@ each a plain object the scheduler composes into the middleware stack:
   distinct from the response cache, which only helps calls that
   already *completed*; the coalescer closes the window where N
   workers race the same cold prompt into N backend calls.
-* :class:`AdaptiveLimiter` — an AIMD gate on concurrent batch
-  dispatches: additive increase after each successful batch,
-  multiplicative backoff on :class:`ModelTransientError` (timeouts
-  included), never below ``min_limit``.  The high-water mark is
-  exported through :class:`repro.engine.telemetry.EngineStats`.
 
 Determinism: batching and coalescing only change *which backend call*
 produces a response, never the response itself — backends are
@@ -32,13 +27,10 @@ middleware order proof extends to batches as follows: the coalescer
 sits *outside* the cache, so a leader's response is written to the
 cache before any follower (or later duplicate) is released — "one
 backend call per unique prompt" is exact, with no window between a
-flight resolving and the cache learning its value; the coalescer sits
-outside retry (followers wait for the leader's *post-retry* result,
-so a transient fault still costs exactly one retry sequence), retry
-outside the rate limiter (every re-attempt pays a token), and the
-timeout outside the batcher (a call's budget covers its linger plus
-its batch's service time — configure ``timeout > linger``, which the
-config's defaults satisfy by three orders of magnitude).
+flight resolving and the cache learning its value; and it sits
+outside retry, so followers wait for the leader's *post-retry* result
+and a transient fault still costs exactly one retry sequence.  Each
+re-attempt re-enters the batcher, which sits below retry and cost.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.engine.telemetry import Telemetry
-from repro.errors import ModelError, ModelTransientError
+from repro.errors import ModelError
 from repro.llm.base import (ChatModel, async_batch_fn,
                             call_generate_batch,
                             supports_generate_batch)
@@ -57,65 +49,6 @@ from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.obs.trail import TrailContext, current_trail, prompt_key
 
 _log = logging.getLogger("repro.engine.batching")
-
-
-class AdaptiveLimiter:
-    """AIMD gate on concurrent dispatches.
-
-    ``acquire`` blocks while ``in_flight >= limit``; ``release``
-    grows the limit additively (``+ increase / limit`` per success,
-    the classic one-per-window shape) or shrinks it multiplicatively
-    (``* backoff``) when the dispatch failed transiently.  The
-    ``high_water`` mark records the largest integer limit the window
-    ever reached.
-    """
-
-    def __init__(self, initial: int = 4, min_limit: int = 1,
-                 max_limit: int = 64, increase: float = 1.0,
-                 backoff: float = 0.5):
-        if not 1 <= min_limit <= initial <= max_limit:
-            raise ValueError("need min_limit <= initial <= max_limit")
-        if increase <= 0:
-            raise ValueError("increase must be positive")
-        if not 0.0 < backoff < 1.0:
-            raise ValueError("backoff must be in (0, 1)")
-        self.min_limit = min_limit
-        self.max_limit = max_limit
-        self.increase = increase
-        self.backoff = backoff
-        self._limit = float(initial)
-        self._in_flight = 0
-        self._cond = threading.Condition()
-        self.high_water = initial
-        self.backoffs = 0
-
-    @property
-    def limit(self) -> int:
-        """Current integer window size."""
-        with self._cond:
-            return int(self._limit)
-
-    def acquire(self) -> None:
-        """Take one dispatch slot, blocking until the window allows."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: self._in_flight < int(self._limit))
-            self._in_flight += 1
-
-    def release(self, success: bool = True) -> None:
-        """Return a slot and adapt the window."""
-        with self._cond:
-            self._in_flight = max(0, self._in_flight - 1)
-            if success:
-                self._limit = min(
-                    float(self.max_limit),
-                    self._limit + self.increase / max(1.0, self._limit))
-            else:
-                self._limit = max(float(self.min_limit),
-                                  self._limit * self.backoff)
-                self.backoffs += 1
-            self.high_water = max(self.high_water, int(self._limit))
-            self._cond.notify_all()
 
 
 @dataclass
@@ -231,8 +164,7 @@ class BatchingModel:
     def __init__(self, inner: ChatModel, batch_size: int,
                  linger_s: float = 0.002,
                  telemetry: Telemetry | None = None,
-                 tracer: "Tracer | NullTracer" = NULL_TRACER,
-                 limiter: AdaptiveLimiter | None = None):
+                 tracer: "Tracer | NullTracer" = NULL_TRACER):
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if linger_s < 0:
@@ -241,7 +173,6 @@ class BatchingModel:
         self.name = inner.name
         self.batch_size = batch_size
         self.linger_s = linger_s
-        self.limiter = limiter
         self._telemetry = telemetry
         self._tracer = tracer
         self._agenerate_batch = async_batch_fn(inner)
@@ -371,39 +302,27 @@ class BatchingModel:
         """
         prompts = [item.prompt for item in batch]
         loop = asyncio.get_running_loop()
-        if self.limiter is not None:
-            await loop.run_in_executor(None, self.limiter.acquire)
-        transient = False
-        try:
-            with self._tracer.span("batch", model=self.name,
-                                   size=len(prompts), seq=batch_id):
-                if self._agenerate_batch is not None:
-                    outcomes, transient = await self._shared(
-                        self._agenerate_batch(prompts), prompts)
-                elif supports_generate_batch(self.inner):
-                    outcomes, transient = await self._shared(
-                        loop.run_in_executor(
-                            None, call_generate_batch, self.inner,
-                            prompts), prompts)
-                else:
-                    outcomes, transient = await self._per_prompt(
-                        loop, prompts)
-            for item, outcome in zip(batch, outcomes):
-                if item.future.done():
-                    continue
-                if isinstance(outcome, BaseException):
-                    item.future.set_exception(outcome)
-                else:
-                    item.future.set_result(outcome)
-        finally:
-            if self.limiter is not None:
-                self.limiter.release(success=not transient)
-                if self._telemetry is not None:
-                    self._telemetry.record_adaptive_limit(
-                        self.limiter.limit)
+        with self._tracer.span("batch", model=self.name,
+                               size=len(prompts), seq=batch_id):
+            if self._agenerate_batch is not None:
+                outcomes = await self._shared(
+                    self._agenerate_batch(prompts), prompts)
+            elif supports_generate_batch(self.inner):
+                outcomes = await self._shared(
+                    loop.run_in_executor(
+                        None, call_generate_batch, self.inner,
+                        prompts), prompts)
+            else:
+                outcomes = await self._per_prompt(loop, prompts)
+        for item, outcome in zip(batch, outcomes):
+            if item.future.done():
+                continue
+            if isinstance(outcome, BaseException):
+                item.future.set_exception(outcome)
+            else:
+                item.future.set_result(outcome)
 
-    async def _shared(self, call, prompts: list[str]
-                      ) -> tuple[list, bool]:
+    async def _shared(self, call, prompts: list[str]) -> list:
         """One real batch call; a fault fails every member."""
         try:
             responses = list(await call)
@@ -414,24 +333,20 @@ class BatchingModel:
         except BaseException as exc:
             _log.info("batch-failed model=%s size=%d fault=%s",
                       self.name, len(prompts), type(exc).__name__)
-            return ([exc] * len(prompts),
-                    isinstance(exc, ModelTransientError))
+            return [exc] * len(prompts)
         if self._telemetry is not None:
             self._telemetry.record_batch(len(prompts))
-        return responses, False
+        return responses
 
-    async def _per_prompt(self, loop, prompts: list[str]
-                          ) -> tuple[list, bool]:
+    async def _per_prompt(self, loop, prompts: list[str]) -> list:
         """Concurrent per-prompt calls with per-prompt faults."""
         outcomes = await asyncio.gather(
             *[loop.run_in_executor(None, self.inner.generate, prompt)
               for prompt in prompts],
             return_exceptions=True)
-        transient = any(isinstance(outcome, ModelTransientError)
-                        for outcome in outcomes)
         if self._telemetry is not None:
             self._telemetry.record_batch(len(prompts))
-        return list(outcomes), transient
+        return list(outcomes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BatchingModel({self.inner!r}, "

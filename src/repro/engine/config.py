@@ -1,10 +1,11 @@
 """Configuration for the execution engine.
 
 One frozen dataclass holds every knob — worker count, in-flight
-window, retry policy, per-call timeout, rate limit, cache capacity —
-so an engine can be described, logged, and rebuilt from a handful of
-CLI flags.  All defaults reproduce the sequential runner's behaviour
-exactly (one worker, no timeout, no rate limit) with caching on.
+window, retry policy, cache, batching, coalescing, trails — so an
+engine can be described, logged, and rebuilt from a run request
+(``repro.runs.driver.engine_for``).  All defaults reproduce the
+sequential runner's records exactly (one worker, per-prompt calls)
+with caching on.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ class EngineConfig:
             pool never floods the executor queue.
         retry: Backoff policy for transient faults; ``None`` disables
             retrying entirely.
-        timeout: Per-call time budget in seconds (``None`` = none).
-        rate: Sustained calls/second across all workers (``None`` =
-            unlimited); ``burst`` is the token-bucket capacity.
         cache: Whether responses are memoized on (model, prompt).
         cache_capacity: LRU bound on cached entries (``None`` =
             unbounded).
@@ -65,9 +63,6 @@ class EngineConfig:
         coalesce: Whether identical *in-flight* prompts share one
             backend call (distinct from the response cache, which
             only serves calls that already completed).
-        adaptive: AIMD concurrency control over batch dispatch —
-            additive increase per successful batch, multiplicative
-            backoff on transient faults and timeouts.
         trail: Capture a per-question provenance trail
             (:mod:`repro.obs.trail`) annotated by every middleware
             layer and stamped onto each record.  Off by default so
@@ -77,15 +72,11 @@ class EngineConfig:
     max_workers: int = 1
     max_in_flight: int = 0
     retry: RetryPolicy | None = RetryPolicy()
-    timeout: float | None = None
-    rate: float | None = None
-    burst: int = 8
     cache: bool = True
     cache_capacity: int | None = None
     batch_size: int = 1
     batch_linger_s: float = 0.002
     coalesce: bool = False
-    adaptive: bool = False
     trail: bool = False
 
     def __post_init__(self) -> None:
@@ -93,12 +84,6 @@ class EngineConfig:
             raise ValueError("max_workers must be at least 1")
         if self.max_in_flight < 0:
             raise ValueError("max_in_flight must be non-negative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.burst < 1:
-            raise ValueError("burst must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.batch_linger_s < 0:

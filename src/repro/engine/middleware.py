@@ -1,22 +1,17 @@
 """Resilience middleware: composable ChatModel wrappers.
 
 Each wrapper takes an inner ``ChatModel`` and is itself a
-``ChatModel``, so policies stack like function composition.  The
-canonical order (outermost first), assembled by
-``scheduler.EvaluationEngine.wrap``::
+``ChatModel``, so policies stack like function composition.
+:class:`RetryingModel` is the engine's retry layer; where it sits in
+the stack (inside the cache, so a hit costs nothing, and outside the
+cost meter, so every re-attempt is billed) is fixed by
+``scheduler.EvaluationEngine.wrap``.  :class:`FaultInjectingModel` is
+a deterministically flaky backend the robustness tests build on.
 
-    CachedModel(RetryingModel(RateLimitedModel(TimeoutModel(inner))))
-
-The order matters: the cache sits outside retrying so a hit costs
-nothing at all, retrying sits outside the rate limiter so every
-re-attempt pays for a token (a retry storm cannot exceed the
-endpoint's budget), and the timeout hugs the backend so it measures
-the call alone, not time spent queueing for a token.
-
-All time sources and sleep functions are injectable, so the tests
-drive the policies with fake clocks and zero real sleeping.  Jitter is
-deterministic (hash of the prompt and attempt number, via
-``repro.llm.rng``), keeping reruns exactly reproducible.
+The sleep function is injectable, so the tests drive the policies
+with zero real sleeping.  Jitter is deterministic (hash of the prompt
+and attempt number, via ``repro.llm.rng``), keeping reruns exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -60,11 +55,11 @@ def backoff_delay(policy: RetryPolicy, attempt: int,
 class RetryingModel:
     """Retries transient failures with exponential backoff.
 
-    Catches :class:`ModelTransientError` (including timeouts), sleeps
-    one backoff step and re-issues the identical prompt.  After
-    ``policy.retries`` failed re-attempts the last transient error is
-    wrapped in a plain :class:`ModelError` — callers see a hard
-    failure, not a retryable one.
+    Catches :class:`ModelTransientError` (including a backend's
+    :class:`ModelTimeoutError`), sleeps one backoff step and re-issues
+    the identical prompt.  After ``policy.retries`` failed re-attempts
+    the last transient error is wrapped in a plain :class:`ModelError`
+    — callers see a hard failure, not a retryable one.
     """
 
     def __init__(self, inner: ChatModel, policy: RetryPolicy,
@@ -127,115 +122,6 @@ class RetryingModel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RetryingModel({self.inner!r})"
-
-
-class TimeoutModel:
-    """Enforces a per-call time budget on the wrapped backend.
-
-    The budget is checked cooperatively: the call runs to completion
-    and :class:`ModelTimeoutError` is raised if it took longer than
-    ``timeout`` seconds (a Python thread cannot be interrupted
-    mid-call, and spawning a watcher thread per call would swamp the
-    worker pool).  The slow response is discarded, the wrapping
-    :class:`RetryingModel` re-attempts, and telemetry counts the
-    timeout — which is exactly the externally observable behaviour of
-    a client-side request timeout against a deterministic backend.
-    """
-
-    def __init__(self, inner: ChatModel, timeout: float,
-                 clock: Clock = time.monotonic):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        self.inner = inner
-        self.name = inner.name
-        self.timeout = timeout
-        self._clock = clock
-
-    def generate(self, prompt: str) -> str:
-        started = self._clock()
-        response = self.inner.generate(prompt)
-        elapsed = self._clock() - started
-        if elapsed > self.timeout:
-            trail = current_trail()
-            if trail is not None:
-                trail.timeout_lost_s += elapsed
-            raise ModelTimeoutError(elapsed, self.timeout)
-        return response
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TimeoutModel({self.inner!r}, {self.timeout})"
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s up to ``capacity``.
-
-    ``acquire`` blocks (via the injectable sleeper) until a token is
-    available, so callers across all worker threads collectively never
-    exceed the sustained rate, while bursts up to ``capacity`` pass
-    without waiting.
-    """
-
-    def __init__(self, rate: float, capacity: int = 8,
-                 clock: Clock = time.monotonic,
-                 sleeper: Sleeper = time.sleep):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.rate = rate
-        self.capacity = capacity
-        self._clock = clock
-        self._sleep = sleeper
-        self._tokens = float(capacity)
-        self._updated = clock()
-        self._lock = threading.Lock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(float(self.capacity),
-                           self._tokens
-                           + (now - self._updated) * self.rate)
-        self._updated = now
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now (refilled view, for tests)."""
-        with self._lock:
-            self._refill()
-            return self._tokens
-
-    def acquire(self) -> float:
-        """Take one token, sleeping until it exists; returns the wait."""
-        waited = 0.0
-        while True:
-            with self._lock:
-                self._refill()
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return waited
-                shortfall = (1.0 - self._tokens) / self.rate
-            self._sleep(shortfall)
-            waited += shortfall
-
-
-class RateLimitedModel:
-    """ChatModel wrapper metering calls through a token bucket."""
-
-    def __init__(self, inner: ChatModel, bucket: TokenBucket):
-        self.inner = inner
-        self.name = inner.name
-        self.bucket = bucket
-
-    def generate(self, prompt: str) -> str:
-        waited = self.bucket.acquire()
-        if waited:
-            trail = current_trail()
-            if trail is not None:
-                trail.rate_wait_s += waited
-        return self.inner.generate(prompt)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RateLimitedModel({self.inner!r})"
 
 
 class FaultInjectingModel:

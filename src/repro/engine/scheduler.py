@@ -2,25 +2,25 @@
 
 ``EvaluationEngine`` sits between the experiment drivers and the
 ``ChatModel`` backends.  Given a model and a list of work items it (1)
-wraps the model in the configured middleware stack (coalesce → cache →
-retry → rate limit → timeout → batch, see ``engine.middleware`` and
-``engine.batching``), then (2) fans the per-item calls out over a
-``ThreadPoolExecutor`` with a bounded in-flight window, collecting
-results **by submission index** — the result list is byte-for-byte the
-one the sequential loop produces, so every metric downstream is
-bit-identical regardless of worker count, batch size, coalescing or
-hedging setting.
+wraps the model in the middleware stack (coalesce → cache → retry →
+cost → batch → count, see :meth:`EvaluationEngine.wrap`), then (2)
+fans the per-item calls out over a ``ThreadPoolExecutor`` with a
+bounded in-flight window, collecting results **by submission index**
+— the result list is byte-for-byte the one the sequential loop
+produces, so every metric downstream is bit-identical regardless of
+worker count, batch size or coalescing setting.
 
-Threads (not processes) are the right pool here: real endpoint calls
-are network-bound and the simulated backends release the GIL whenever
-they sleep, so wall-clock scales with workers while all state stays
-shared (one cache, one telemetry, one rate limiter).  Under batching
-the pool is *wider* than ``max_workers``: batches fill from prompts
-whose worker threads are concurrently parked inside the batching
-dispatcher, so the thread count must cover the in-flight window —
-parked threads cost almost nothing, and the backend concurrency is
-governed by the batch dispatch (and the AIMD limiter), not the pool
-width.
+Runs build their engine in one place,
+:func:`repro.runs.driver.engine_for`, from the run request.
+
+Threads (not processes) are the pool here: real endpoint calls are
+network-bound, so wall-clock scales with workers while all state stays
+shared (one cache, one telemetry).  Under batching the pool is *wider*
+than ``max_workers``: batches fill from prompts whose worker threads
+are concurrently parked inside the batching dispatcher, so the thread
+count must cover the in-flight window — parked threads cost almost
+nothing, and the backend concurrency is governed by the batch
+dispatch, not the pool width.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from concurrent.futures import (FIRST_COMPLETED, ThreadPoolExecutor,
                                 wait)
 from typing import Any, TypeVar
 
-from repro.engine.batching import (AdaptiveLimiter, BatchingModel,
-                                   CoalescingModel, close_model_stack)
+from repro.engine.batching import (BatchingModel, CoalescingModel,
+                                   close_model_stack)
 from repro.engine.cache import CachedModel, ResponseCache
 from repro.engine.config import EngineConfig
-from repro.engine.middleware import (Clock, RateLimitedModel,
-                                     RetryingModel, TimeoutModel,
-                                     TokenBucket)
+from repro.engine.middleware import Clock, RetryingModel
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.llm.base import (ChatModel, async_batch_fn,
                             call_generate_batch,
@@ -104,7 +102,7 @@ class EvaluationEngine:
     through it.
 
     Args:
-        config: Every knob (workers, retries, timeout, rate, cache).
+        config: Every knob (workers, retries, cache, batching).
         cache: An explicit :class:`ResponseCache` (e.g. loaded from
             disk); default builds one per ``config.cache``.
         clock: Injectable time source for telemetry (tests).
@@ -134,11 +132,11 @@ class EvaluationEngine:
         """Apply the middleware stack (documented order) to a model.
 
         Outermost to innermost: coalesce → cache → retry → cost →
-        rate limit → timeout → batch → counting → backend.  The
-        cost meter sits *inside* the retry loop, so every re-attempt
-        is billed for the prompt tokens it re-sends (exactly what a
-        real endpoint charges), and *inside* the cache, so a hit
-        never reaches it and costs zero.  The coalescer sits
+        batch → count → backend.  The cost meter sits *inside* the
+        retry loop, so every re-attempt is billed for the prompt
+        tokens it re-sends (exactly what a real endpoint charges),
+        and *inside* the cache, so a hit never reaches it and costs
+        zero.  The coalescer sits
         *outside* the cache so that when a leader returns, its
         response is already cached — a duplicate can never slip
         between the leader finishing and the cache learning the
@@ -146,26 +144,16 @@ class EvaluationEngine:
         prompt" exact rather than probabilistic.  It also sits
         outside retry, so followers receive the leader's post-retry
         result (a transient fault is absorbed once, not once per
-        waiter).  The batcher sits *inside* timeout so a call's
-        budget covers linger plus batch service — configure
-        ``timeout`` comfortably above ``batch_linger_s``.
+        waiter).  The batcher sits inside retry and cost, so each
+        re-attempt re-enters a batch and is billed once.
         """
         wrapped: ChatModel = _CountingModel(model, self.telemetry,
                                             tracer=self.tracer)
         if self.config.batch_size > 1:
-            limiter = (AdaptiveLimiter() if self.config.adaptive
-                       else None)
             wrapped = BatchingModel(
                 wrapped, self.config.batch_size,
                 linger_s=self.config.batch_linger_s,
-                telemetry=self.telemetry, tracer=self.tracer,
-                limiter=limiter)
-        if self.config.timeout is not None:
-            wrapped = TimeoutModel(wrapped, self.config.timeout)
-        if self.config.rate is not None:
-            wrapped = RateLimitedModel(
-                wrapped, TokenBucket(self.config.rate,
-                                     self.config.burst))
+                telemetry=self.telemetry, tracer=self.tracer)
         # Counter resolved against the *raw* backend so a registered
         # per-name override or a backend count_tokens hook is found
         # even though this layer wraps middleware, not the backend.

@@ -1,7 +1,7 @@
 """Telemetry for the execution engine.
 
 A :class:`Telemetry` collector is threaded through the middleware
-stack and the scheduler.  It is now a facade over a
+stack and the scheduler.  It is a facade over a
 :class:`repro.obs.metrics.MetricsRegistry`: every model call, retry,
 injected fault and cache lookup lands in a named counter, and each
 scored question's worker time is observed into a fixed-bucket latency
@@ -13,28 +13,26 @@ experiment, the run ledger and the ``repro engine-stats`` CLI consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Registry names of the engine's metrics (shared with exporters).
-RECORDS = "repro_engine_records_total"
-CALLS = "repro_engine_calls_total"
-RETRIES = "repro_engine_retries_total"
-FAULTS = "repro_engine_faults_total"
-TIMEOUTS = "repro_engine_timeouts_total"
-CACHE_HITS = "repro_engine_cache_hits_total"
-CACHE_MISSES = "repro_engine_cache_misses_total"
+#: Registry names of the engine's metrics that are not plain counters.
 WALL_SECONDS = "repro_engine_wall_seconds_total"
 WORKERS = "repro_engine_workers"
 LATENCY = "repro_engine_question_latency_seconds"
-BATCHES = "repro_engine_batches_total"
-COALESCED = "repro_engine_coalesced_total"
-HEDGES = "repro_engine_hedged_total"
-ADAPTIVE_HIGH_WATER = "repro_engine_adaptive_limit_high_water"
-PROMPT_TOKENS = "repro_engine_prompt_tokens_total"
-COMPLETION_TOKENS = "repro_engine_completion_tokens_total"
-COST_NANOS = "repro_engine_cost_nanos_total"
+
+
+def _stat(default: Any = 0, merge: str = "sum", metric: str = "",
+          help: str = "") -> Any:
+    """One :class:`EngineStats` field: its default, how shard
+    snapshots merge (``sum``, ``max``, ``weighted`` by records, or
+    ``min_seen``/``max_seen`` over shards that scored records), and —
+    for a plain counter — the registry metric it is read from."""
+    return field(default=default,
+                 metadata={"merge": merge, "metric": metric,
+                           "help": help})
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,43 +45,57 @@ class EngineStats:
     worker-seconds (``wall_time_s * workers``) — 1.0 means every
     worker computed the whole time.  The ``latency_*`` fields come
     from the per-question latency histogram: bucket-interpolated
-    quantiles, exact extremes.
+    quantiles, exact extremes.  ``batches`` counts backend
+    ``generate_batch`` dispatches and ``coalesced`` counts prompts
+    that piggybacked on an identical in-flight call.
 
-    The batched-engine fields all default to zero so snapshots
-    persisted before the batching core existed — and engines run
-    without it — decode and compare unchanged: ``batches`` counts
-    backend ``generate_batch`` dispatches, ``coalesced`` counts
-    prompts that piggybacked on an identical in-flight call,
-    ``hedged`` counts hedge requests a :class:`BackendPool` launched,
-    and ``adaptive_high_water`` is the AIMD concurrency window's
-    high-water mark.
+    Each counter is declared here once: the ledger codec
+    (:meth:`to_dict`/:meth:`from_dict`), the shard merge
+    (``repro.dist.merge.merge_stats``) and :class:`Telemetry` all
+    iterate these fields.  Every field has a default, so snapshots
+    persisted by older engines decode, and keys this version no
+    longer knows are ignored.
     """
 
-    records: int
-    calls: int
-    retries: int
-    faults: int
-    timeouts: int
-    cache_hits: int
-    cache_misses: int
-    wall_time_s: float
-    busy_time_s: float
-    workers: int
-    latency_p50_s: float = 0.0
-    latency_p90_s: float = 0.0
-    latency_p99_s: float = 0.0
-    latency_min_s: float = 0.0
-    latency_max_s: float = 0.0
-    batches: int = 0
-    coalesced: int = 0
-    hedged: int = 0
-    adaptive_high_water: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    records: int = _stat(metric="repro_engine_records_total",
+                         help="questions scored")
+    calls: int = _stat(metric="repro_engine_calls_total",
+                       help="model invocations reaching a backend")
+    retries: int = _stat(metric="repro_engine_retries_total",
+                         help="re-attempts after faults")
+    faults: int = _stat(metric="repro_engine_faults_total",
+                        help="transient faults observed")
+    timeouts: int = _stat(metric="repro_engine_timeouts_total",
+                          help="backend timeouts observed")
+    cache_hits: int = _stat(metric="repro_engine_cache_hits_total",
+                            help="response cache hits")
+    cache_misses: int = _stat(metric="repro_engine_cache_misses_total",
+                              help="response cache misses")
+    #: Shards run concurrently, so merged wall time is the longest.
+    wall_time_s: float = _stat(0.0, merge="max")
+    busy_time_s: float = _stat(0.0)
+    workers: int = _stat()
+    latency_p50_s: float = _stat(0.0, merge="weighted")
+    latency_p90_s: float = _stat(0.0, merge="weighted")
+    latency_p99_s: float = _stat(0.0, merge="weighted")
+    latency_min_s: float = _stat(0.0, merge="min_seen")
+    latency_max_s: float = _stat(0.0, merge="max_seen")
+    batches: int = _stat(metric="repro_engine_batches_total",
+                         help="backend generate_batch dispatches")
+    coalesced: int = _stat(
+        metric="repro_engine_coalesced_total",
+        help="prompts sharing an identical in-flight call")
+    prompt_tokens: int = _stat(
+        metric="repro_engine_prompt_tokens_total",
+        help="prompt tokens sent to backends")
+    completion_tokens: int = _stat(
+        metric="repro_engine_completion_tokens_total",
+        help="completion tokens returned")
     #: Accumulated spend in integer nano-dollars.  Integer addition is
     #: associative, so shard-merged totals equal single-process totals
     #: bit for bit — a float dollar sum could not promise that.
-    cost_nanos: int = 0
+    cost_nanos: int = _stat(metric="repro_engine_cost_nanos_total",
+                            help="accumulated spend in nano-dollars")
 
     @property
     def total_tokens(self) -> int:
@@ -125,52 +137,23 @@ class EngineStats:
 
     def to_dict(self) -> dict[str, object]:
         """Raw counters, JSON-compatible (run-finished ledger events)."""
-        return {
-            "records": self.records,
-            "calls": self.calls,
-            "retries": self.retries,
-            "faults": self.faults,
-            "timeouts": self.timeouts,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "wall_time_s": self.wall_time_s,
-            "busy_time_s": self.busy_time_s,
-            "workers": self.workers,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p90_s": self.latency_p90_s,
-            "latency_p99_s": self.latency_p99_s,
-            "latency_min_s": self.latency_min_s,
-            "latency_max_s": self.latency_max_s,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
-            "hedged": self.hedged,
-            "adaptive_high_water": self.adaptive_high_water,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "cost_nanos": self.cost_nanos,
-            "cost_usd": self.cost_usd,
-        }
+        payload: dict[str, object] = {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)}
+        payload["cost_usd"] = self.cost_usd
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EngineStats":
         """Rebuild a snapshot persisted by :meth:`to_dict`.
 
-        The histogram fields default to 0.0 — and the batched-engine
-        counters to 0 — so ledgers written before they existed still
-        load.
+        Missing keys take the field default; unknown keys (counters
+        of layers that no longer exist) are ignored.
         """
-        stats = {key: payload[key] for key in (
-            "records", "calls", "retries", "faults", "timeouts",
-            "cache_hits", "cache_misses", "wall_time_s", "busy_time_s",
-            "workers")}
-        for key in ("latency_p50_s", "latency_p90_s", "latency_p99_s",
-                    "latency_min_s", "latency_max_s"):
-            stats[key] = float(payload.get(key, 0.0))
-        for key in ("batches", "coalesced", "hedged",
-                    "adaptive_high_water", "prompt_tokens",
-                    "completion_tokens", "cost_nanos"):
-            stats[key] = int(payload.get(key, 0))
-        return cls(**stats)
+        return cls(**{
+            spec.name: type(spec.default)(
+                payload.get(spec.name, spec.default))
+            for spec in fields(cls)})
 
     def as_row(self) -> dict[str, object]:
         """One report row (``repro.core.report.format_rows`` shape)."""
@@ -185,8 +168,6 @@ class EngineStats:
             "hit_rate": f"{self.cache_hit_rate:.3f}",
             "batches": self.batches,
             "coalesced": self.coalesced,
-            "hedged": self.hedged,
-            "adaptive_hw": self.adaptive_high_water,
             "tokens": self.total_tokens,
             "cost_usd": f"{self.cost_usd:.4f}",
             "workers": self.workers,
@@ -201,69 +182,48 @@ class EngineStats:
 class Telemetry:
     """Thread-safe recorder shared by middleware and scheduler.
 
-    The recording API is unchanged from the counter-bag days; the
-    storage is a :class:`MetricsRegistry` (exposed as ``.registry``)
-    so the same numbers flow to the Prometheus exporter without a
-    second bookkeeping path.
+    The storage is a :class:`MetricsRegistry` (exposed as
+    ``.registry``) so the same numbers flow to the Prometheus exporter
+    without a second bookkeeping path.  Every plain-counter field of
+    :class:`EngineStats` gets the registry counter its declaration
+    names.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = (registry if registry is not None
                          else MetricsRegistry())
         r = self.registry
-        self._records = r.counter(RECORDS, "questions scored")
-        self._calls = r.counter(CALLS,
-                                "model invocations reaching a backend")
-        self._retries = r.counter(RETRIES, "re-attempts after faults")
-        self._faults = r.counter(FAULTS, "transient faults observed")
-        self._timeouts = r.counter(TIMEOUTS, "per-call timeouts")
-        self._cache_hits = r.counter(CACHE_HITS,
-                                     "response cache hits")
-        self._cache_misses = r.counter(CACHE_MISSES,
-                                       "response cache misses")
+        #: EngineStats field name -> its registry counter.
+        self._counters = {
+            spec.name: r.counter(spec.metadata["metric"],
+                                 spec.metadata["help"])
+            for spec in fields(EngineStats) if spec.metadata["metric"]}
         self._wall = r.counter(WALL_SECONDS,
                                "scheduler wall-clock seconds")
         self._workers = r.gauge(WORKERS, "peak worker threads")
         self._latency = r.histogram(
             LATENCY, "per-question worker seconds")
-        self._batches = r.counter(
-            BATCHES, "backend generate_batch dispatches")
-        self._coalesced = r.counter(
-            COALESCED, "prompts sharing an identical in-flight call")
-        self._hedges = r.counter(
-            HEDGES, "hedge requests launched by a backend pool")
-        self._adaptive_hw = r.gauge(
-            ADAPTIVE_HIGH_WATER, "AIMD concurrency window high water")
-        self._prompt_tokens = r.counter(
-            PROMPT_TOKENS, "prompt tokens sent to backends")
-        self._completion_tokens = r.counter(
-            COMPLETION_TOKENS, "completion tokens returned")
-        self._cost_nanos = r.counter(
-            COST_NANOS, "accumulated spend in nano-dollars")
 
     # ------------------------------------------------------------------
     # Recording (called from worker threads)
     # ------------------------------------------------------------------
     def record_call(self, n: int = 1) -> None:
-        self._calls.add(n)
+        self._counters["calls"].add(n)
 
     def record_retry(self) -> None:
-        self._retries.add(1)
+        self._counters["retries"].add(1)
 
     def record_fault(self, timeout: bool = False) -> None:
-        self._faults.add(1)
+        self._counters["faults"].add(1)
         if timeout:
-            self._timeouts.add(1)
+            self._counters["timeouts"].add(1)
 
     def record_cache(self, hit: bool) -> None:
-        if hit:
-            self._cache_hits.add(1)
-        else:
-            self._cache_misses.add(1)
+        self._counters["cache_hits" if hit else "cache_misses"].add(1)
 
     def record_work(self, seconds: float) -> None:
         """One question scored, taking ``seconds`` of worker time."""
-        self._records.add(1)
+        self._counters["records"].add(1)
         self._latency.observe(seconds)
 
     def record_run(self, wall_time_s: float, workers: int) -> None:
@@ -273,39 +233,24 @@ class Telemetry:
 
     def record_batch(self, size: int) -> None:
         """One ``generate_batch`` dispatch of ``size`` prompts."""
-        self._batches.add(1)
+        self._counters["batches"].add(1)
 
     def record_coalesced(self) -> None:
         """One prompt served by an identical in-flight call."""
-        self._coalesced.add(1)
-
-    def record_hedge(self) -> None:
-        """One hedge request launched by a backend pool."""
-        self._hedges.add(1)
-
-    def record_adaptive_limit(self, limit: float) -> None:
-        """Track the AIMD window's high-water mark."""
-        self._adaptive_hw.set_max(int(limit))
+        self._counters["coalesced"].add(1)
 
     def record_tokens(self, prompt_tokens: int,
                       completion_tokens: int,
                       cost_nanos: int) -> None:
         """One billed backend attempt (see ``repro.obs.cost``)."""
-        self._prompt_tokens.add(prompt_tokens)
-        self._completion_tokens.add(completion_tokens)
-        self._cost_nanos.add(cost_nanos)
+        self._counters["prompt_tokens"].add(prompt_tokens)
+        self._counters["completion_tokens"].add(completion_tokens)
+        self._counters["cost_nanos"].add(cost_nanos)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> EngineStats:
         """Freeze the registry into an immutable stats value."""
         return EngineStats(
-            records=int(self._records.value),
-            calls=int(self._calls.value),
-            retries=int(self._retries.value),
-            faults=int(self._faults.value),
-            timeouts=int(self._timeouts.value),
-            cache_hits=int(self._cache_hits.value),
-            cache_misses=int(self._cache_misses.value),
             wall_time_s=self._wall.value,
             busy_time_s=self._latency.total,
             workers=max(1, int(self._workers.value)),
@@ -314,14 +259,8 @@ class Telemetry:
             latency_p99_s=self._latency.quantile(0.99),
             latency_min_s=self._latency.min,
             latency_max_s=self._latency.max,
-            batches=int(self._batches.value),
-            coalesced=int(self._coalesced.value),
-            hedged=int(self._hedges.value),
-            adaptive_high_water=int(self._adaptive_hw.value),
-            prompt_tokens=int(self._prompt_tokens.value),
-            completion_tokens=int(self._completion_tokens.value),
-            cost_nanos=int(self._cost_nanos.value),
-        )
+            **{name: int(counter.value)
+               for name, counter in self._counters.items()})
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""

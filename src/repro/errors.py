@@ -66,12 +66,11 @@ class ModelTransientError(ModelError):
 class ModelTimeoutError(ModelTransientError):
     """A model call exceeded its per-call time budget.
 
-    Retry contract: raised by ``engine.middleware.TimeoutModel`` when
-    one ``generate`` call runs longer than the configured timeout.  It
-    subclasses :class:`ModelTransientError`, so the retry middleware
-    treats a timeout exactly like any other transient fault: the same
-    prompt is retried on a fresh attempt until the policy's budget is
-    exhausted.
+    Retry contract: raised by a backend client whose ``generate`` call
+    ran longer than its time budget.  It subclasses
+    :class:`ModelTransientError`, so the retry middleware treats a
+    timeout exactly like any other transient fault: the same prompt is
+    retried on a fresh attempt until the policy's budget is exhausted.
 
     Carries ``elapsed`` and ``timeout`` (seconds) for telemetry.
     """

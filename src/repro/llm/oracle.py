@@ -11,10 +11,16 @@ calibrated answering policy conditions on.
 Product instances (Amazon / Google instance typing) resolve through a
 lazily built product-title index, since those names are instances
 rather than taxonomy nodes.
+
+The lazy builds are shared by every thread asking through one oracle:
+a hit is a plain dict read, and a miss is double-checked under the
+oracle's lock, so concurrent workers build each taxonomy and index
+once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.data.paper_figures import LEVEL_SHAPES
@@ -69,6 +75,9 @@ class TaxonomyOracle:
         self._lazy = taxonomies is None
         self._name_index: dict[str, dict[str, str]] = {}
         self._instance_index: dict[str, dict[str, str]] = {}
+        # Re-entrant: an index build resolves its taxonomy inside the
+        # same critical section.
+        self._build_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Index plumbing
@@ -79,32 +88,47 @@ class TaxonomyOracle:
         return tuple(self._taxonomies)
 
     def taxonomy(self, key: str) -> Taxonomy:
-        if key not in self._taxonomies:
-            if not self._lazy:
-                raise KeyError(key)
-            self._taxonomies[key] = build_taxonomy(key)
-        return self._taxonomies[key]
+        taxonomy = self._taxonomies.get(key)
+        if taxonomy is None:
+            with self._build_lock:
+                taxonomy = self._taxonomies.get(key)
+                if taxonomy is None:
+                    if not self._lazy:
+                        raise KeyError(key)
+                    taxonomy = build_taxonomy(key)
+                    self._taxonomies[key] = taxonomy
+        return taxonomy
 
     def _names(self, key: str) -> dict[str, str]:
-        if key not in self._name_index:
-            self._name_index[key] = {
-                node.name: node.node_id for node in self.taxonomy(key)}
-        return self._name_index[key]
+        names = self._name_index.get(key)
+        if names is None:
+            with self._build_lock:
+                names = self._name_index.get(key)
+                if names is None:
+                    names = {node.name: node.node_id
+                             for node in self.taxonomy(key)}
+                    self._name_index[key] = names
+        return names
 
     def _instances(self, key: str) -> dict[str, str]:
         """Product-title -> anchor-node-id index (shopping only)."""
-        if key not in self._instance_index:
-            index: dict[str, str] = {}
-            if key in _PRODUCT_KEYS:
-                taxonomy = self.taxonomy(key)
-                deepest = taxonomy.num_levels - 1
-                for node in taxonomy.nodes_at_level(deepest):
-                    for title in products_for_node(
-                            taxonomy, node.node_id,
-                            _PRODUCTS_PER_CATEGORY):
-                        index[title] = node.node_id
-            self._instance_index[key] = index
-        return self._instance_index[key]
+        index = self._instance_index.get(key)
+        if index is not None:
+            return index
+        with self._build_lock:
+            index = self._instance_index.get(key)
+            if index is None:
+                index = {}
+                if key in _PRODUCT_KEYS:
+                    taxonomy = self.taxonomy(key)
+                    deepest = taxonomy.num_levels - 1
+                    for node in taxonomy.nodes_at_level(deepest):
+                        for title in products_for_node(
+                                taxonomy, node.node_id,
+                                _PRODUCTS_PER_CATEGORY):
+                            index[title] = node.node_id
+                self._instance_index[key] = index
+        return index
 
     def _candidate_keys(self, hint: Domain | None) -> tuple[str, ...]:
         if hint is None:

@@ -1,6 +1,6 @@
 """Parsing raw model output back into canonical answers.
 
-Real LLMs rarely answer with a bare "Yes": they hedge, explain, or
+Real LLMs rarely answer with a bare "Yes": they qualify, explain, or
 prefix with reasoning (especially under Chain-of-Thoughts).  The
 parser therefore searches for decisive markers in priority order and
 falls back to :data:`Answer.UNPARSEABLE` — which the metrics count as a

@@ -23,7 +23,7 @@ The observability layer for the whole evaluation stack.  Four pieces:
   ``for_s`` debounce and firing/resolved transitions.
 * ``trail`` — per-question provenance: a :class:`TrailContext` opened
   around each prompt that every engine layer annotates (retries,
-  cache, coalescing, batching, replicas, cost), frozen to a
+  cache, coalescing, batching, cost), frozen to a
   :class:`Trail` on the question record, plus the predicate compiler
   behind ``repro obs grep`` and the :func:`trail_summary` analytics
   behind ``repro obs trails``.

@@ -67,7 +67,6 @@ class HistoryEntry:
     #: the batching core — the schema is backward-compatible).
     batches: int = 0
     coalesced: int = 0
-    hedged: int = 0
     #: Shard fan-out the run executed with (1 = single process), so
     #: check baselines recorded at different fan-outs stay
     #: distinguishable even though their metrics must be identical.
@@ -104,7 +103,6 @@ class HistoryEntry:
             "faults": self.faults,
             "batches": self.batches,
             "coalesced": self.coalesced,
-            "hedged": self.hedged,
             "shards": self.shards,
             "prompt_tokens": self.prompt_tokens,
             "completion_tokens": self.completion_tokens,
@@ -133,7 +131,6 @@ class HistoryEntry:
                 faults=int(payload.get("faults", 0)),
                 batches=int(payload.get("batches", 0)),
                 coalesced=int(payload.get("coalesced", 0)),
-                hedged=int(payload.get("hedged", 0)),
                 shards=int(payload.get("shards", 1)),
                 prompt_tokens=int(payload.get("prompt_tokens", 0)),
                 completion_tokens=int(payload.get("completion_tokens",
@@ -168,7 +165,6 @@ class HistoryEntry:
             "cost_usd": f"{self.cost_usd:.4f}",
             "batches": self.batches,
             "coalesced": self.coalesced,
-            "hedged": self.hedged,
         }
 
 
@@ -208,7 +204,6 @@ def entry_from_result(run_id: str, dataset: str,
         faults=(stats.faults if stats else 0),
         batches=(getattr(stats, "batches", 0) if stats else 0),
         coalesced=(getattr(stats, "coalesced", 0) if stats else 0),
-        hedged=(getattr(stats, "hedged", 0) if stats else 0),
         shards=max(1, shards),
         prompt_tokens=(getattr(stats, "prompt_tokens", 0)
                        if stats else 0),

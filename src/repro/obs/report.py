@@ -31,7 +31,7 @@ _FULL = "#"
 #: roots when attributing wall-clock, or a batched run's phase shares
 #: deflate against a wall several times the real one.
 _DETACHED_KINDS = frozenset({
-    "batch", "coalesced_wait", "hedge", "model_call", "retry",
+    "batch", "coalesced_wait", "model_call", "retry",
     "cache_lookup", "question",
 })
 

@@ -34,12 +34,11 @@ from dataclasses import dataclass, field
 Clock = Callable[[], float]
 
 #: Span names used by the built-in instrumentation, root to leaf.
-#: ``batch``/``coalesced_wait``/``hedge`` are the engine's grouping
-#: kinds (PR 7): ``batch`` spans are emitted on the batching
-#: dispatcher's event-loop thread and so carry no parent.
+#: ``batch``/``coalesced_wait`` are the engine's grouping kinds:
+#: ``batch`` spans are emitted on the batching dispatcher's event-loop
+#: thread and so carry no parent.
 EVALUATION_SPANS = ("run", "cell", "question", "model_call", "retry",
-                    "cache_lookup", "batch", "coalesced_wait",
-                    "hedge")
+                    "cache_lookup", "batch", "coalesced_wait")
 BUILD_SPANS = ("build", "taxonomy", "encode", "write", "load")
 
 

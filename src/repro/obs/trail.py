@@ -5,10 +5,8 @@ scheduler (or the sequential runner) and annotated by every middleware
 layer the prompt passes through: coalescing (leader/follower and the
 leader's prompt key), cache (hit/miss plus whether the entry came from
 a persisted snapshot), retry (attempt count, per-attempt error class,
-injected-fault flag), rate limiting and timeouts (time lost waiting),
-batching (batch id, size and why the batch was cut), the backend pool
-(replica index, fallback chain, hedging) and cost metering (billed
-tokens and nanodollars).  When the question's record is built the
+injected-fault flag), batching (batch id, size and why the batch was
+cut) and cost metering (billed tokens and nanodollars).  When the question's record is built the
 context is frozen into an immutable :class:`Trail` and stamped onto
 :class:`~repro.core.results.QuestionRecord`, so provenance rides the
 ledger and survives shard merges bit-identically.
@@ -16,6 +14,7 @@ ledger and survives shard merges bit-identically.
 The codec is compact: :func:`trail_to_dict` omits every default-valued
 field, and :func:`trail_from_dict` restores them, so pre-trail ledgers
 replay with ``trail=None`` and trail-off runs pay zero ledger bytes.
+Keys written by layers that no longer exist are ignored on decode.
 
 This module is imported by the engine and the core codec, so it must
 stay dependency-free: stdlib only, plus :mod:`repro.errors` (a leaf).
@@ -62,8 +61,8 @@ class Trail:
 
     Scheduling-independent fields (``attempts``, ``errors``,
     ``injected``, ``cache_hit``, token/cost fields) are deterministic
-    per prompt; placement fields (``batch``, ``replica``, wait times)
-    only appear when the corresponding layer is configured.
+    per prompt; placement fields (``batch``, ``batch_size``,
+    ``batch_cut``) only appear when batching is configured.
     """
 
     attempts: int = 1
@@ -73,15 +72,9 @@ class Trail:
     cache_source: str | None = None
     coalesced: str | None = None
     leader_key: str | None = None
-    rate_wait_s: float = 0.0
-    timeout_lost_s: float = 0.0
     batch: int | None = None
     batch_size: int | None = None
     batch_cut: str | None = None
-    replica: int | None = None
-    fallbacks: tuple[int, ...] = ()
-    hedged: bool = False
-    hedge_won: bool = False
     billed_prompt_tokens: int = 0
     billed_completion_tokens: int = 0
     cost_nanos: int = 0
@@ -96,21 +89,15 @@ _TRAIL_DEFAULTS: dict[str, Any] = {
     "cache_source": None,
     "coalesced": None,
     "leader_key": None,
-    "rate_wait_s": 0.0,
-    "timeout_lost_s": 0.0,
     "batch": None,
     "batch_size": None,
     "batch_cut": None,
-    "replica": None,
-    "fallbacks": (),
-    "hedged": False,
-    "hedge_won": False,
     "billed_prompt_tokens": 0,
     "billed_completion_tokens": 0,
     "cost_nanos": 0,
 }
 
-_TUPLE_FIELDS = frozenset({"errors", "fallbacks"})
+_TUPLE_FIELDS = frozenset({"errors"})
 
 
 def trail_to_dict(trail: Trail) -> dict[str, Any]:
@@ -140,10 +127,8 @@ class TrailContext:
 
     __slots__ = (
         "attempts", "errors", "injected", "cache_hit", "cache_source",
-        "coalesced", "leader_key", "rate_wait_s", "timeout_lost_s",
-        "batch", "batch_size", "batch_cut", "replica", "fallbacks",
-        "hedged", "hedge_won", "billed_prompt_tokens",
-        "billed_completion_tokens", "cost_nanos",
+        "coalesced", "leader_key", "batch", "batch_size", "batch_cut",
+        "billed_prompt_tokens", "billed_completion_tokens", "cost_nanos",
     )
 
     def __init__(self) -> None:
@@ -154,15 +139,9 @@ class TrailContext:
         self.cache_source: str | None = None
         self.coalesced: str | None = None
         self.leader_key: str | None = None
-        self.rate_wait_s = 0.0
-        self.timeout_lost_s = 0.0
         self.batch: int | None = None
         self.batch_size: int | None = None
         self.batch_cut: str | None = None
-        self.replica: int | None = None
-        self.fallbacks: list[int] = []
-        self.hedged = False
-        self.hedge_won = False
         self.billed_prompt_tokens = 0
         self.billed_completion_tokens = 0
         self.cost_nanos = 0
@@ -187,15 +166,9 @@ class TrailContext:
             cache_source=self.cache_source,
             coalesced=self.coalesced,
             leader_key=self.leader_key,
-            rate_wait_s=self.rate_wait_s,
-            timeout_lost_s=self.timeout_lost_s,
             batch=self.batch,
             batch_size=self.batch_size,
             batch_cut=self.batch_cut,
-            replica=self.replica,
-            fallbacks=tuple(self.fallbacks),
-            hedged=self.hedged,
-            hedge_won=self.hedge_won,
             billed_prompt_tokens=self.billed_prompt_tokens,
             billed_completion_tokens=self.billed_completion_tokens,
             cost_nanos=self.cost_nanos,
@@ -468,13 +441,8 @@ def trail_summary(records: Iterable[Any]) -> dict[str, Any]:
     injected = 0
     attempt_dist: dict[int, int] = {}
     error_dist: dict[str, int] = {}
-    hedged = 0
-    hedge_wins = 0
-    fallback_calls = 0
     batch_sizes: dict[int, int] = {}
     batch_cuts: dict[str, int] = {}
-    rate_wait_s = 0.0
-    timeout_lost_s = 0.0
     billed_prompt = 0
     billed_completion = 0
     cost_nanos = 0
@@ -501,18 +469,11 @@ def trail_summary(records: Iterable[Any]) -> dict[str, Any]:
             injected += 1
         for error in trail.errors:
             error_dist[error] = error_dist.get(error, 0) + 1
-        if trail.hedged:
-            hedged += 1
-        if trail.hedge_won:
-            hedge_wins += 1
-        fallback_calls += len(trail.fallbacks)
         if trail.batch_size is not None:
             batch_sizes[trail.batch_size] = (
                 batch_sizes.get(trail.batch_size, 0) + 1)
         if trail.batch_cut is not None:
             batch_cuts[trail.batch_cut] = batch_cuts.get(trail.batch_cut, 0) + 1
-        rate_wait_s += trail.rate_wait_s
-        timeout_lost_s += trail.timeout_lost_s
         billed_prompt += trail.billed_prompt_tokens
         billed_completion += trail.billed_completion_tokens
         cost_nanos += trail.cost_nanos
@@ -534,14 +495,10 @@ def trail_summary(records: Iterable[Any]) -> dict[str, Any]:
                          for k in sorted(attempt_dist)},
             "errors": {k: error_dist[k] for k in sorted(error_dist)},
         },
-        "hedge": {"fired": hedged, "won": hedge_wins,
-                  "fallback_calls": fallback_calls},
         "batch": {
             "sizes": {str(k): batch_sizes[k] for k in sorted(batch_sizes)},
             "cuts": {k: batch_cuts[k] for k in sorted(batch_cuts)},
         },
-        "waits": {"rate_wait_s": rate_wait_s,
-                  "timeout_lost_s": timeout_lost_s},
         "cost": {
             "billed_prompt_tokens": billed_prompt,
             "billed_completion_tokens": billed_completion,

@@ -18,6 +18,8 @@ between the experiment drivers and the evaluation runner:
   bit-identically (only missing question indices are re-asked), or
   rebuild every :class:`repro.core.results.PoolResult` from disk with
   zero model calls;
+* :func:`engine_for` — the one place a run request becomes an
+  :class:`repro.engine.EvaluationEngine` (``None`` = sequential);
 * :func:`diff_runs` — per-cell metric deltas and per-question answer
   flips between any two runs.
 
@@ -34,8 +36,8 @@ Quickstart::
 
 from repro.runs.diff import CellDiff, QuestionFlip, RunDiff, diff_runs
 from repro.runs.driver import (CellKey, RunResult, coerce_run,
-                               create_run, execute_run, load_run,
-                               plan_cells)
+                               create_run, engine_for, execute_run,
+                               load_run, plan_cells)
 from repro.runs.heartbeat import (HEARTBEAT_FILENAME, HeartbeatWriter,
                                   pid_alive, read_heartbeat,
                                   run_status)
@@ -72,6 +74,7 @@ __all__ = [
     "create_run",
     "default_runs_root",
     "diff_runs",
+    "engine_for",
     "execute_run",
     "load_run",
     "pid_alive",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.results import PoolResult
 from repro.core.runner import EvaluationRunner
+from repro.engine.cache import ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
@@ -164,15 +165,22 @@ def _pool_for(cell: CellKey, pools: dict[str, object]) -> QuestionPool:
     return taxonomy_pools.level_pool(cell.level, kind)
 
 
-def _build_engine(request: RunRequest) -> EvaluationEngine | None:
-    """Engine matching the request's shape (``None`` = sequential).
+def engine_for(request: RunRequest,
+               cache: ResponseCache | None = None
+               ) -> EvaluationEngine | None:
+    """The engine ``request`` executes under — the one engine builder.
 
-    Batching or coalescing forces an engine even at one worker — both
-    live in the engine's middleware stack, and the batched path needs
-    the engine's widened fan-out pool to fill batches.
+    Returns ``None`` exactly when the request is sequential (one
+    worker, no batching, no coalescing) and no ``cache`` is given:
+    the runner's engineless path.  Batching or coalescing forces an
+    engine even at one worker — both live in the engine's middleware
+    stack, and the batched path needs the engine's widened fan-out
+    pool to fill batches.  A given ``cache`` (e.g. loaded from disk)
+    backs the engine's cache layer; otherwise the engine keeps a
+    fresh in-memory one.
     """
-    if (request.workers <= 1 and request.batch_size <= 1
-            and not request.coalesce):
+    if (cache is None and request.workers <= 1
+            and request.batch_size <= 1 and not request.coalesce):
         return None
     config = EngineConfig(
         max_workers=request.workers,
@@ -180,7 +188,7 @@ def _build_engine(request: RunRequest) -> EvaluationEngine | None:
         batch_size=request.batch_size,
         coalesce=request.coalesce,
         trail=request.trail)
-    return EvaluationEngine(config)
+    return EvaluationEngine(config, cache=cache)
 
 
 def _spent_since(engine: EvaluationEngine | None,
@@ -249,7 +257,7 @@ def execute_run(request: RunRequest,
     if run_id is None:
         run_id = registry.create(request, cells=len(cells))
     if engine is None:
-        engine = _build_engine(request)
+        engine = engine_for(request)
     tracer = _resolve_tracer(tracer, trace)
     if (engine is not None and tracer.enabled
             and not engine.tracer.enabled):

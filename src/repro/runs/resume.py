@@ -34,8 +34,8 @@ from repro.obs.export import JsonlSpanSink
 from repro.obs.history import append_entry, entry_from_result
 from repro.obs.tracer import NullTracer, Tracer
 from repro.runs.driver import (CellKey, ModelResolver, RunResult,
-                               _build_engine, _pool_for,
-                               _resolve_tracer, build_request_pools,
+                               _pool_for, _resolve_tracer,
+                               build_request_pools, engine_for,
                                plan_cells)
 from repro.runs.heartbeat import HeartbeatWriter
 from repro.runs.ledger import RunLedger
@@ -69,7 +69,7 @@ def resume_run(run_id: str,
     pools = build_request_pools(request)
     cells = plan_cells(request, pools)
     if engine is None:
-        engine = _build_engine(request)
+        engine = engine_for(request)
     tracer = _resolve_tracer(tracer, trace)
     if (engine is not None and tracer.enabled
             and not engine.tracer.enabled):

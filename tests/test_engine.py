@@ -10,9 +10,7 @@ from repro.core.runner import EvaluationRunner
 from repro.engine.cache import CachedModel, ResponseCache
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.middleware import (FaultInjectingModel,
-                                     RateLimitedModel, RetryingModel,
-                                     TimeoutModel, TokenBucket,
-                                     backoff_delay)
+                                     RetryingModel, backoff_delay)
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.errors import (ModelError, ModelTimeoutError,
@@ -48,19 +46,6 @@ class FlakyModel:
     def generate(self, prompt: str) -> str:
         self.attempts += 1
         raise ModelTransientError("synthetic outage")
-
-
-class FakeClock:
-    """Manually advanced monotonic clock for time-based middleware."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.now += seconds
 
 
 @pytest.fixture(scope="module")
@@ -209,67 +194,25 @@ class TestRetrying:
         assert stats.faults == 2
         assert stats.retries == 2
 
-
-class TestTimeout:
-    def test_slow_call_raises_timeout(self):
-        clock = FakeClock()
-
-        class Slow:
+    def test_backend_timeout_is_a_retried_counted_fault(self):
+        class TimesOutOnce:
             name = "slow"
 
+            def __init__(self):
+                self.attempts = 0
+
             def generate(self, prompt: str) -> str:
-                clock.sleep(2.0)
-                return "late"
+                self.attempts += 1
+                if self.attempts == 1:
+                    raise ModelTimeoutError(elapsed=2.0, timeout=1.0)
+                return "late but fine"
 
-        model = TimeoutModel(Slow(), timeout=1.0, clock=clock)
-        with pytest.raises(ModelTimeoutError) as excinfo:
-            model.generate("prompt")
-        assert excinfo.value.elapsed == pytest.approx(2.0)
-        assert excinfo.value.timeout == 1.0
-        assert isinstance(excinfo.value, ModelTransientError)
-
-    def test_fast_call_passes_through(self):
-        model = TimeoutModel(EchoModel(), timeout=10.0,
-                             clock=FakeClock())
-        assert model.generate("hi") == "echo:2"
-
-
-class TestTokenBucket:
-    def test_burst_then_metered(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, capacity=4, clock=clock,
-                             sleeper=clock.sleep)
-        for _ in range(4):
-            assert bucket.acquire() == 0.0
-        assert bucket.tokens == pytest.approx(0.0)
-        # Fifth call must wait for one token: (1 - 0) / 2 = 0.5s.
-        assert bucket.acquire() == pytest.approx(0.5)
-        assert clock.now == pytest.approx(0.5)
-
-    def test_refill_caps_at_capacity(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, capacity=3, clock=clock,
-                             sleeper=clock.sleep)
-        for _ in range(3):
-            bucket.acquire()
-        clock.sleep(100.0)
-        assert bucket.tokens == pytest.approx(3.0)
-
-    def test_rate_limited_model_consumes_tokens(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, capacity=2, clock=clock,
-                             sleeper=clock.sleep)
-        model = RateLimitedModel(EchoModel(), bucket)
-        for _ in range(3):
-            model.generate("prompt")
-        # Two burst tokens were free; the third call waited 1/rate.
-        assert clock.now == pytest.approx(1.0)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, capacity=0)
+        telemetry = Telemetry()
+        model = RetryingModel(TimesOutOnce(), FAST_RETRY,
+                              telemetry=telemetry)
+        assert model.generate("prompt") == "late but fine"
+        stats = telemetry.snapshot()
+        assert (stats.faults, stats.timeouts, stats.retries) == (1, 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -411,9 +354,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(max_workers=0)
         with pytest.raises(ValueError):
-            EngineConfig(timeout=0.0)
-        with pytest.raises(ValueError):
-            EngineConfig(rate=-1.0)
+            EngineConfig(batch_size=0)
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
@@ -429,15 +370,11 @@ class TestConfig:
 
     def test_full_stack_composes(self):
         engine = EvaluationEngine(
-            EngineConfig(max_workers=2, timeout=30.0, rate=1000.0,
-                         retry=FAST_RETRY))
+            EngineConfig(max_workers=2, retry=FAST_RETRY))
         wrapped = engine.wrap(EchoModel())
-        # Documented order:
-        # cache(retry(cost(rate(timeout(count(model)))))).
+        # Documented order: cache(retry(cost(count(model)))).
         assert isinstance(wrapped, CachedModel)
         assert isinstance(wrapped.inner, RetryingModel)
         assert isinstance(wrapped.inner.inner, CostMeter)
-        assert isinstance(wrapped.inner.inner.inner, RateLimitedModel)
-        assert isinstance(wrapped.inner.inner.inner.inner,
-                          TimeoutModel)
+        assert isinstance(wrapped.inner.inner.inner.inner, EchoModel)
         assert wrapped.generate("hi") == "echo:2"

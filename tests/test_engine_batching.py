@@ -1,5 +1,5 @@
-"""Tests for the batched engine core: batching, coalescing, AIMD,
-backend pools, and the bit-identity invariant under all of them."""
+"""Tests for the batched engine core: batching, coalescing, and the
+bit-identity invariant under both."""
 
 from __future__ import annotations
 
@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batching import (AdaptiveLimiter, BatchingModel,
-                                   CoalescingModel, close_model_stack)
+from repro.engine.batching import (BatchingModel, CoalescingModel,
+                                   close_model_stack)
 from repro.engine.cache import CachedModel
 from repro.engine.config import EngineConfig, RetryPolicy
 from repro.engine.middleware import FaultInjectingModel, RetryingModel
-from repro.engine.pool import BackendPool
 from repro.engine.scheduler import EvaluationEngine
 from repro.engine.telemetry import EngineStats, Telemetry
 from repro.errors import ModelError, ModelTransientError
@@ -80,56 +79,6 @@ class TestProtocolNegotiation:
     def test_empty_prompt_rejected_in_batch(self):
         with pytest.raises(ValueError, match="non-empty"):
             BatchEcho().generate_batch(["ok", "  "])
-
-
-# ----------------------------------------------------------------------
-# AdaptiveLimiter
-# ----------------------------------------------------------------------
-class TestAdaptiveLimiter:
-    def test_additive_increase_multiplicative_decrease(self):
-        limiter = AdaptiveLimiter(initial=4, max_limit=16)
-        for _ in range(8):
-            limiter.acquire()
-            limiter.release(success=True)
-        grown = limiter.limit
-        assert grown > 4
-        assert limiter.high_water == grown
-        limiter.acquire()
-        limiter.release(success=False)
-        assert limiter.limit <= grown // 2 + 1
-        assert limiter.backoffs == 1
-        # High water survives the backoff.
-        assert limiter.high_water == grown
-
-    def test_never_below_min_limit(self):
-        limiter = AdaptiveLimiter(initial=2, min_limit=1)
-        for _ in range(10):
-            limiter.acquire()
-            limiter.release(success=False)
-        assert limiter.limit == 1
-
-    def test_acquire_blocks_at_window(self):
-        limiter = AdaptiveLimiter(initial=1, min_limit=1)
-        limiter.acquire()
-        acquired = threading.Event()
-
-        def second() -> None:
-            limiter.acquire()
-            acquired.set()
-
-        thread = threading.Thread(target=second, daemon=True)
-        thread.start()
-        assert not acquired.wait(0.05)
-        limiter.release(success=True)
-        assert acquired.wait(1.0)
-        limiter.release(success=True)
-        thread.join(timeout=1.0)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveLimiter(initial=0)
-        with pytest.raises(ValueError):
-            AdaptiveLimiter(backoff=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -202,28 +151,6 @@ class TestBatchingModel:
         assert all(isinstance(exc, ModelTransientError)
                    for exc in errors)
         assert model.batch_calls == 1   # one dispatch, four waiters
-
-    def test_adaptive_limiter_backs_off_on_transient(self):
-        class FlakyBatch(BatchEcho):
-            def __init__(self):
-                super().__init__("flaky")
-                self.fail_next = True
-
-            def _respond_batch(self, prompts):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise ModelTransientError("blip")
-                return super()._respond_batch(prompts)
-
-        limiter = AdaptiveLimiter(initial=4)
-        model = FlakyBatch()
-        with BatchingModel(model, batch_size=2, linger_s=0.001,
-                           limiter=limiter) as batcher:
-            with pytest.raises(ModelTransientError):
-                batcher.generate("a")
-            assert batcher.generate("b") == "ans:b"
-        assert limiter.backoffs == 1
-        assert limiter.limit < 4
 
     def test_close_fails_pending_and_rejects_new_calls(self):
         model = BatchEcho()
@@ -339,133 +266,13 @@ class TestCoalescingModel:
 
 
 # ----------------------------------------------------------------------
-# BackendPool
-# ----------------------------------------------------------------------
-class FailingBackend:
-    name = "GPT-4"
-
-    def __init__(self, error=ModelTransientError):
-        self.calls = 0
-        self.error = error
-
-    def generate(self, prompt: str) -> str:
-        self.calls += 1
-        raise self.error("down")
-
-
-class TestBackendPool:
-    def test_presents_primary_name(self):
-        pool = BackendPool([StaticResponder("GPT-4", "yes"),
-                            StaticResponder("replica", "yes")])
-        assert pool.name == "GPT-4"
-        assert pool.generate("q") == "yes"
-
-    def test_fallback_on_failure(self):
-        primary = FailingBackend()
-        pool = BackendPool([primary, StaticResponder("GPT-4", "ok")])
-        assert pool.generate("q") == "ok"
-        assert primary.calls == 1
-
-    def test_all_backends_failing_raises(self):
-        pool = BackendPool([FailingBackend(), FailingBackend()])
-        with pytest.raises(ModelError, match="every backend failed"):
-            pool.generate("q")
-
-    def test_health_cooldown_skips_failing_backend(self):
-        clock_now = [0.0]
-        primary = FailingBackend()
-        pool = BackendPool([primary, StaticResponder("GPT-4", "ok")],
-                           max_failures=2, cooldown_s=30.0,
-                           clock=lambda: clock_now[0])
-        pool.generate("a")
-        pool.generate("b")
-        assert primary.calls == 2       # two strikes -> cooldown
-        pool.generate("c")
-        assert primary.calls == 2       # sat out while cooling down
-        clock_now[0] = 31.0
-        pool.generate("d")
-        assert primary.calls == 3       # probed again after cooldown
-
-    def test_success_resets_consecutive_failures(self):
-        class Recovering:
-            name = "GPT-4"
-
-            def __init__(self):
-                self.calls = 0
-
-            def generate(self, prompt: str) -> str:
-                self.calls += 1
-                if self.calls % 2 == 1:
-                    raise ModelTransientError("blip")
-                return "ok"
-
-        backend = Recovering()
-        pool = BackendPool([backend, StaticResponder("GPT-4", "ok")],
-                           max_failures=2)
-        for _ in range(6):      # fail, fall back, succeed, repeat
-            assert pool.generate("q") == "ok"
-        assert backend.calls == 6   # never benched: streak never hits 2
-
-    def test_hedge_fires_on_slow_primary(self):
-        class Slow:
-            name = "GPT-4"
-
-            def generate(self, prompt: str) -> str:
-                time.sleep(0.5)
-                return "ok"
-
-        telemetry = Telemetry()
-        pool = BackendPool([Slow(), StaticResponder("GPT-4", "ok")],
-                           hedge_delay_s=0.01, telemetry=telemetry)
-        try:
-            started = time.perf_counter()
-            assert pool.generate("q") == "ok"
-            elapsed = time.perf_counter() - started
-        finally:
-            pool.close()
-        assert elapsed < 0.4            # won by the hedge, not the primary
-        assert telemetry.snapshot().hedged == 1
-
-    def test_hedged_failure_falls_through(self):
-        telemetry = Telemetry()
-        pool = BackendPool(
-            [FailingBackend(), StaticResponder("GPT-4", "ok")],
-            hedge_delay_s=5.0, telemetry=telemetry)
-        try:
-            assert pool.generate("q") == "ok"
-        finally:
-            pool.close()
-        # The primary failed fast, so the fallback launched without
-        # waiting out the hedge delay (and no hedge was recorded).
-        assert telemetry.snapshot().hedged == 0
-
-    def test_generate_batch_delegates_with_fallback(self):
-        class FailingBatch:
-            name = "GPT-4"
-
-            def generate(self, prompt: str) -> str:
-                raise ModelTransientError("down")
-
-        replica = BatchEcho(name="GPT-4")
-        pool = BackendPool([FailingBatch(), replica])
-        assert pool.generate_batch(["a", "b"]) == ["ans:a", "ans:b"]
-        assert replica.batch_sizes == [2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BackendPool([])
-        with pytest.raises(ValueError):
-            BackendPool([StaticResponder("m", "x")], hedge_delay_s=-1)
-
-
-# ----------------------------------------------------------------------
 # Stack composition and engine integration
 # ----------------------------------------------------------------------
 class TestStackComposition:
     def test_full_batched_stack_composes_in_order(self):
         engine = EvaluationEngine(
             EngineConfig(max_workers=2, retry=FAST_RETRY,
-                         batch_size=4, coalesce=True, adaptive=True))
+                         batch_size=4, coalesce=True))
         wrapped = engine.wrap(BatchEcho())
         try:
             # Documented order:
@@ -474,9 +281,8 @@ class TestStackComposition:
             assert isinstance(wrapped.inner, CachedModel)
             assert isinstance(wrapped.inner.inner, RetryingModel)
             assert isinstance(wrapped.inner.inner.inner, CostMeter)
-            batcher = wrapped.inner.inner.inner.inner
-            assert isinstance(batcher, BatchingModel)
-            assert isinstance(batcher.limiter, AdaptiveLimiter)
+            assert isinstance(wrapped.inner.inner.inner.inner,
+                              BatchingModel)
             assert wrapped.generate("hi") == "ans:hi"
         finally:
             close_model_stack(wrapped)
@@ -562,21 +368,6 @@ class TestEngineParity:
         assert results == [f"ans:{item}" for item in items]
         assert flaky.faults_injected > 0
 
-    def test_hedged_pool_inside_engine_is_bit_identical(self):
-        replicas = [BatchEcho(name="GPT-4"),
-                    BatchEcho(name="GPT-4", latency_s=0.001)]
-        pool = BackendPool(replicas, hedge_delay_s=0.005)
-        engine = EvaluationEngine(
-            EngineConfig(max_workers=8, batch_size=4,
-                         batch_linger_s=0.001, coalesce=True,
-                         cache=False, retry=None))
-        try:
-            results = engine.run(pool, self.ITEMS,
-                                 lambda m, item: m.generate(item))
-        finally:
-            pool.close()
-        assert results == self.sequential(self.ITEMS)
-
     @settings(deadline=None, max_examples=25)
     @given(
         items=st.lists(st.text(alphabet="abcd", min_size=1,
@@ -622,18 +413,18 @@ class TestStatsCompatibility:
         stats = EngineStats.from_dict(self.OLD_PAYLOAD)
         assert stats.batches == 0
         assert stats.coalesced == 0
-        assert stats.hedged == 0
-        assert stats.adaptive_high_water == 0
+        assert stats.cost_nanos == 0
 
     def test_roundtrip_preserves_new_fields(self):
         stats = EngineStats.from_dict(self.OLD_PAYLOAD)
+        # Counters of removed engine layers are ignored on decode.
         enriched = EngineStats.from_dict(
             {**stats.to_dict(), "batches": 3, "coalesced": 5,
              "hedged": 1, "adaptive_high_water": 12})
         assert enriched.batches == 3
         assert enriched.coalesced == 5
-        assert enriched.hedged == 1
-        assert enriched.adaptive_high_water == 12
+        assert "hedged" not in enriched.to_dict()
+        assert "adaptive_high_water" not in enriched.to_dict()
         assert (EngineStats.from_dict(enriched.to_dict())
                 == enriched)
 
@@ -644,8 +435,7 @@ class TestStatsCompatibility:
         row = stats.as_row()
         assert row["batches"] == 3
         assert row["coalesced"] == 5
-        assert row["hedged"] == 1
-        assert row["adaptive_hw"] == 12
+        assert "hedged" not in row and "adaptive_hw" not in row
 
     def test_old_history_entry_decodes(self):
         entry = HistoryEntry.from_dict({
@@ -654,7 +444,6 @@ class TestStatsCompatibility:
         })
         assert entry.batches == 0
         assert entry.coalesced == 0
-        assert entry.hedged == 0
 
     def test_history_entry_roundtrips_new_counters(self):
         entry = HistoryEntry.from_dict({
@@ -665,7 +454,7 @@ class TestStatsCompatibility:
         payload = entry.to_dict()
         assert payload["batches"] == 4
         assert payload["coalesced"] == 9
-        assert payload["hedged"] == 2
+        assert "hedged" not in payload
         assert HistoryEntry.from_dict(payload) == entry
 
     def test_history_entry_folds_stats_counters(self):
@@ -680,18 +469,40 @@ class TestStatsCompatibility:
             stats=stats)
         assert entry.batches == 3
         assert entry.coalesced == 5
-        assert entry.hedged == 1
 
     def test_prometheus_exports_new_counters(self):
         engine = EvaluationEngine(
             EngineConfig(max_workers=8, batch_size=4,
                          batch_linger_s=0.001, coalesce=True,
-                         cache=False, retry=None, adaptive=True))
+                         cache=False, retry=None))
         engine.run(BatchEcho(latency_s=0.002),
                    [f"q{i % 3}" for i in range(24)],
                    lambda m, item: m.generate(item))
         text = format_prometheus(engine.telemetry.registry)
         assert "repro_engine_batches_total" in text
         assert "repro_engine_coalesced_total" in text
-        assert "repro_engine_hedged_total" in text
-        assert "repro_engine_adaptive_limit_high_water" in text
+        assert "repro_engine_hedged_total" not in text
+        assert "adaptive" not in text
+
+    def test_merge_stats_follows_each_fields_rule(self):
+        from repro.dist.merge import merge_stats
+        a = EngineStats.from_dict(
+            {**self.OLD_PAYLOAD, "batches": 3, "coalesced": 1,
+             "latency_p50_s": 1.0, "latency_min_s": 0.5,
+             "latency_max_s": 2.0, "cost_nanos": 7})
+        b = EngineStats.from_dict(
+            {**self.OLD_PAYLOAD, "records": 30, "wall_time_s": 4.0,
+             "batches": 2, "latency_p50_s": 3.0,
+             "latency_min_s": 0.25, "latency_max_s": 1.0,
+             "cost_nanos": 5})
+        idle = EngineStats(wall_time_s=9.0)
+        merged = merge_stats([a, b, idle])
+        assert merged.records == 40
+        assert (merged.batches, merged.coalesced) == (5, 1)
+        assert merged.cost_nanos == 12
+        assert merged.wall_time_s == 9.0                # max
+        assert merged.latency_p50_s == pytest.approx(2.5)  # weighted
+        # Extremes over the shards that scored anything.
+        assert (merged.latency_min_s, merged.latency_max_s) == (0.25,
+                                                                2.0)
+        assert merge_stats([]) is None

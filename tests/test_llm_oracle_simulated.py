@@ -244,3 +244,57 @@ class TestSimulatedModel:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
             get_model("GPT-4").generate("  ")
+
+
+class TestOracleThreadSafety:
+    def test_concurrent_resolves_build_each_taxonomy_once(
+            self, ebay_pools, monkeypatch):
+        import sys
+        import threading
+        import time
+        from collections import Counter
+
+        import repro.llm.oracle as oracle_module
+
+        real_build = oracle_module.build_taxonomy
+        builds: Counter[str] = Counter()
+        count_lock = threading.Lock()
+
+        def slow_build(key):
+            with count_lock:
+                builds[key] += 1
+            time.sleep(0.05)        # widen the race window
+            return real_build(key)
+
+        monkeypatch.setattr(oracle_module, "build_taxonomy", slow_build)
+        oracle = TaxonomyOracle()
+        prompts = [render_question(question) for question in
+                   ebay_pools.total_pool(DatasetKind.HARD).questions[:6]]
+        barrier = threading.Barrier(8)
+        resolved: list = []
+        errors: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                barrier.wait()
+                for prompt in prompts:
+                    resolved.append(oracle.resolve(parse_prompt(prompt)))
+            except BaseException as exc:  # pragma: no cover - surfaced
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(resolved) == 8 * len(prompts)
+        assert all(resolution is not None for resolution in resolved)
+        assert builds["ebay"] == 1
+        assert set(builds.values()) == {1}, builds

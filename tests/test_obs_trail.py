@@ -10,14 +10,13 @@ Four concerns, one per class below:
 * the ``obs grep`` predicate compiler honours precedence, keywords and
   its no-``eval`` error contract;
 * each middleware layer annotates the ambient :class:`TrailContext`,
-  and the composed retried + hedged story renders through the same
+  and the composed retried + batched story renders through the same
   narrative ``obs why`` prints (the acceptance demonstration).
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +28,6 @@ from repro.engine.cache import CachedModel, ResponseCache
 from repro.engine.config import RetryPolicy
 from repro.engine.middleware import (FaultInjectingModel,
                                      RetryingModel)
-from repro.engine.pool import BackendPool
-from repro.errors import ModelError
-from repro.llm.base import BaseChatModel
 from repro.llm.registry import get_model
 from repro.obs import read_spans_jsonl
 from repro.obs.trail import (Trail, TrailContext, TrailQueryError,
@@ -70,17 +66,9 @@ _TRAILS = st.builds(
     leader_key=st.one_of(st.none(),
                          st.text("0123456789abcdef",
                                  min_size=12, max_size=12)),
-    rate_wait_s=st.floats(min_value=0.0, max_value=5.0,
-                          allow_nan=False),
-    timeout_lost_s=st.floats(min_value=0.0, max_value=5.0,
-                             allow_nan=False),
     batch=st.one_of(st.none(), st.integers(1, 99)),
     batch_size=st.one_of(st.none(), st.integers(1, 64)),
     batch_cut=st.sampled_from([None, "size", "linger", "drain"]),
-    replica=st.one_of(st.none(), st.integers(0, 7)),
-    fallbacks=st.lists(st.integers(0, 7), max_size=4).map(tuple),
-    hedged=st.booleans(),
-    hedge_won=st.booleans(),
     billed_prompt_tokens=st.integers(0, 10_000),
     billed_completion_tokens=st.integers(0, 10_000),
     cost_nanos=st.integers(0, 10 ** 12),
@@ -114,18 +102,18 @@ class TestTrailCodec:
 
     def test_unknown_keys_are_ignored(self):
         decoded = trail_from_dict({"attempts": 3,
-                                   "from_the_future": "xyz"})
+                                   "from_the_future": "xyz",
+                                   "replica": 1, "fallbacks": [0],
+                                   "rate_wait_s": 0.5})
         assert decoded.attempts == 3
         assert decoded == Trail(attempts=3)
 
     def test_tuples_survive_list_encoding(self):
-        trail = Trail(errors=("A", "B"), fallbacks=(0, 2))
+        trail = Trail(errors=("A", "B"))
         payload = trail_to_dict(trail)
         assert payload["errors"] == ["A", "B"]
-        assert payload["fallbacks"] == [0, 2]
         decoded = trail_from_dict(payload)
         assert decoded.errors == ("A", "B")
-        assert decoded.fallbacks == (0, 2)
 
     def test_prompt_key_is_stable_and_short(self):
         assert prompt_key("hello") == prompt_key("hello")
@@ -222,10 +210,10 @@ class TestLegacyLedgerReplay:
 # Predicate compiler (obs grep --where)
 # ----------------------------------------------------------------------
 class TestPredicateCompiler:
-    ENV = {"attempts": 3, "cache_hit": False, "replica": 1,
+    ENV = {"attempts": 3, "cache_hit": False, "batch_size": 4,
            "errors": ("ModelTimeoutError",), "error_count": 1,
            "correct": True, "cell": "GPT-4/ebay/zero-shot",
-           "rate_wait_s": 0.25, "batch": None}
+           "batch": None}
 
     def _match(self, expression: str, env: dict | None = None):
         return compile_predicate(expression)(env if env is not None
@@ -242,11 +230,11 @@ class TestPredicateCompiler:
 
     def test_and_binds_tighter_than_or(self):
         # false and false or true  ==  (false and false) or true
-        assert self._match("attempts < 0 and replica == 9 "
+        assert self._match("attempts < 0 and batch_size == 9 "
                            "or correct == true")
         # true or false and false  ==  true or (false and false)
         assert self._match("correct == true or attempts < 0 "
-                           "and replica == 9")
+                           "and batch_size == 9")
 
     def test_not_and_parentheses(self):
         assert self._match("not cache_hit")
@@ -263,7 +251,7 @@ class TestPredicateCompiler:
         assert not self._match("no_such_field == 1")
 
     def test_type_mismatch_comparison_is_false_not_raise(self):
-        # replica is None on an untrailed question; ordering against
+        # batch is None on an unbatched question; ordering against
         # a number must select nothing, not blow up the whole grep.
         assert not self._match("batch > 2")
         assert not self._match("batch < 2")
@@ -279,15 +267,15 @@ class TestPredicateCompiler:
 
     def test_env_exposes_trail_and_record_fields(self):
         trail = Trail(attempts=2, errors=("ModelTransientError",),
-                      cache_hit=False, replica=1, fallbacks=(0,),
-                      hedged=True, hedge_won=True, cost_nanos=7)
+                      cache_hit=False, coalesced="leader", batch=3,
+                      cost_nanos=7)
         env = trail_env(_record(trail=trail), index=4, cell="c")
         assert env["index"] == 4 and env["cell"] == "c"
         assert env["has_trail"] is True
         assert env["attempts"] == 2 and env["error_count"] == 1
-        assert env["hedge_won"] is True and env["cost_nanos"] == 7
+        assert env["batch"] == 3 and env["cost_nanos"] == 7
         matcher = compile_predicate(
-            "attempts > 1 and cache_hit == false and hedged")
+            "attempts > 1 and cache_hit == false and coalesced")
         assert matcher(env)
 
 
@@ -303,15 +291,13 @@ class TestTrailSummary:
             _record("q2", trail=Trail(
                 attempts=3, errors=("ModelTransientError",) * 2,
                 injected=True, cache_hit=False, batch=1,
-                batch_size=2, batch_cut="size", rate_wait_s=0.5,
+                batch_size=2, batch_cut="size",
                 billed_prompt_tokens=100,
                 billed_completion_tokens=10,
                 cost_nanos=2_000_000_000)),
             _record("q3", trail=Trail(
                 coalesced="follower", leader_key="abc",
-                replica=1, fallbacks=(0,), hedged=True,
-                hedge_won=True, batch=1, batch_size=2,
-                batch_cut="size")),
+                batch=1, batch_size=2, batch_cut="size")),
             _record("q4"),                       # untrailed
         ]
         summary = trail_summary(records)
@@ -327,13 +313,8 @@ class TestTrailSummary:
         assert summary["retry"]["attempts"]["3"] == 1
         assert summary["retry"]["errors"][
             "ModelTransientError"] == 2
-        assert summary["hedge"]["fired"] == 1
-        assert summary["hedge"]["won"] == 1
-        assert summary["hedge"]["fallback_calls"] == 1
         assert summary["batch"]["sizes"]["2"] == 2
         assert summary["batch"]["cuts"]["size"] == 2
-        assert summary["waits"]["rate_wait_s"] == \
-            pytest.approx(0.5)
         assert summary["cost"]["cost_nanos"] == 2_000_000_000
 
     def test_summary_of_untrailed_records(self):
@@ -346,31 +327,6 @@ class TestTrailSummary:
 # ----------------------------------------------------------------------
 # Middleware annotations (the layers write what they know)
 # ----------------------------------------------------------------------
-class _Failing(BaseChatModel):
-    """Backend that always raises a hard ModelError."""
-
-    def __init__(self, name: str = "GPT-4"):
-        super().__init__(name)
-        self.calls = 0
-
-    def _respond(self, prompt: str) -> str:
-        self.calls += 1
-        raise ModelError(f"{self.name}: down")
-
-
-class _Slow(BaseChatModel):
-    """Backend that answers correctly but only after a long sleep."""
-
-    def __init__(self, delay_s: float, name: str = "GPT-4"):
-        super().__init__(name)
-        self.delay_s = delay_s
-        self._inner = get_model(name)
-
-    def _respond(self, prompt: str) -> str:
-        time.sleep(self.delay_s)
-        return self._inner.generate(prompt)
-
-
 class TestMiddlewareAnnotations:
     def test_no_ambient_trail_outside_scope(self):
         assert current_trail() is None
@@ -415,28 +371,6 @@ class TestMiddlewareAnnotations:
         assert trail.errors == ("ModelTransientError",) * 2
         assert trail.injected is True
 
-    def test_pool_fallback_records_replica_order(self):
-        pool = BackendPool([_Failing(), get_model("GPT-4")])
-        with trail_scope() as ctx:
-            pool.generate("Is video a kind of electronics?")
-        trail = ctx.freeze()
-        assert trail.replica == 1
-        assert trail.fallbacks == (0,)
-        assert trail.hedged is False
-
-    def test_pool_hedge_records_winner(self):
-        pool = BackendPool([_Slow(0.5), get_model("GPT-4")],
-                           hedge_delay_s=0.01)
-        try:
-            with trail_scope() as ctx:
-                pool.generate("Is furniture a kind of home?")
-        finally:
-            pool.close()
-        trail = ctx.freeze()
-        assert trail.hedged is True
-        assert trail.hedge_won is True
-        assert trail.replica == 1
-
     def test_note_cost_accumulates(self):
         ctx = TrailContext()
         ctx.note_cost(10, 2, 500)
@@ -448,16 +382,16 @@ class TestMiddlewareAnnotations:
 
 
 # ----------------------------------------------------------------------
-# Acceptance: the retried + hedged question, explained
+# Acceptance: the retried + batched question, explained
 # ----------------------------------------------------------------------
 class TestWhyNarrative:
-    def test_retried_hedged_story_names_every_cause(self):
+    def test_retried_batched_story_names_every_cause(self):
         """The composed worst-case question — injected faults forced
-        retries, the pool's primary replica failed, a hedge won on the
-        fallback — must read back with the attempt count, the error
-        classes, the replica order and the batch id all named."""
-        pool = BackendPool([_Failing(), get_model("GPT-4")])
-        flaky = FaultInjectingModel(pool, failure_rate=1.0,
+        retries before it rode a batch — must read back with the
+        attempt count, the error classes, the batch id and the cost
+        all named."""
+        flaky = FaultInjectingModel(get_model("GPT-4"),
+                                    failure_rate=1.0,
                                     max_consecutive=2)
         model = RetryingModel(flaky, RetryPolicy(retries=3),
                               sleeper=lambda _: None)
@@ -468,16 +402,13 @@ class TestWhyNarrative:
             ctx.batch = 2
             ctx.batch_size = 4
             ctx.batch_cut = "size"
-            ctx.hedged = True
-            ctx.hedge_won = True
+            ctx.note_cost(7, 1, 330)
         text = "\n".join(_why_trail_lines(
             trail_to_dict(ctx.freeze())))
         assert "3 attempt(s)" in text
         assert "ModelTransientError, ModelTransientError" in text
         assert "(injected)" in text
-        assert "replica 1" in text
-        assert "replica(s) 0 failed" in text
-        assert "the hedge won" in text
+        assert "7 prompt + 1 completion tokens billed" in text
         assert "batch #2 of 4 prompt(s)" in text
         assert "flushed on size" in text
 

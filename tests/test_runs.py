@@ -506,6 +506,48 @@ class TestRunsCli:
         out = self._run(capsys, "runs", "list", "--runs-dir", runs_dir)
         assert "no runs in registry" in out
 
+    def test_cache_flag_at_one_worker_warms_a_rerun(self, capsys,
+                                                    runs_dir,
+                                                    tmp_path):
+        cache = tmp_path / "c.json"
+        argv = ("run", "--models", "GPT-4", "--taxonomies", "ebay",
+                "--sample", "5", "--cache", str(cache), "--json",
+                "--runs-dir", runs_dir)
+        cold = json.loads(self._run(capsys, *argv))
+        assert cache.exists()
+        assert cold["stats"]["calls"] == cold["evaluated"] > 0
+        warm = json.loads(self._run(capsys, *argv))
+        assert warm["stats"]["calls"] == 0
+        assert warm["stats"]["cache_hits"] == warm["evaluated"]
+        assert warm["cells"] == cold["cells"]
+
+    @staticmethod
+    def _record_lines(registry: RunRegistry, run_id: str) -> list[str]:
+        lines = registry.ledger_path(run_id).read_text(
+            encoding="utf-8").splitlines()
+        # Threads finish in any order, so compare as a sorted multiset.
+        return sorted(line for line in lines
+                      if line.startswith('{"event":"record"'))
+
+    def test_resume_with_workers_keeps_the_stored_trail(self, capsys,
+                                                        runs_dir):
+        scope = ("--models", "GPT-4", "LLMs4OL", "--taxonomies",
+                 "ebay", "--sample", "4", "--trail", "--workers", "2",
+                 "--json", "--runs-dir", runs_dir)
+        stopped = json.loads(self._run(capsys, "run", *scope,
+                                       "--max-tokens", "300"))
+        assert stopped["budget"] is not None
+        assert len(stopped["cells"]) == 1
+        self._run(capsys, "runs", "resume", stopped["run_id"],
+                  "--workers", "2", "--runs-dir", runs_dir)
+        whole = json.loads(self._run(capsys, "run", *scope))
+        registry = RunRegistry(runs_dir)
+        resumed_lines = self._record_lines(registry, stopped["run_id"])
+        assert len(resumed_lines) == whole["evaluated"] == 32
+        assert all('"trail":' in line for line in resumed_lines)
+        assert resumed_lines == self._record_lines(registry,
+                                                   whole["run_id"])
+
 
 # ----------------------------------------------------------------------
 # Registry scans vs concurrent writers (consistent-snapshot contract)
